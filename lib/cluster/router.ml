@@ -6,11 +6,8 @@ module Traceview = Skope_service.Traceview
 module Client = Skope_service.Client
 module Protocol = Skope_service.Protocol
 module Service_api = Skope_service.Service_api
-module Fingerprint = Skope_service.Fingerprint
 module Server = Skope_service.Server
 module Dispatch = Skope_service.Dispatch
-module Registry = Core.Workloads.Registry
-module Hotspot = Core.Analysis.Hotspot
 
 type member_spec = { m_id : string; m_host : string; m_port : int }
 
@@ -136,44 +133,18 @@ let observe_health t m ~ok =
 
 let body_key body = Digest.to_hex (Digest.string body)
 
-(* The same fingerprint the shard's cache will use, computed without
-   running anything: resolve the machine (catalog + overrides) and the
-   workload's default scale exactly as Dispatch.query_parts does.  A
-   query that fails to resolve still routes deterministically (by body
-   hash) — the owning shard then returns the structured error. *)
-let query_fingerprint (q : Protocol.query) =
-  match Protocol.resolve_machine q with
-  | Error _ -> None
-  | Ok machine -> (
-    match Registry.find q.Protocol.workload with
-    | None -> None
-    | Some w ->
-      let scale =
-        Option.value ~default:w.Registry.default_scale q.Protocol.scale
-      in
-      let criteria =
-        {
-          Hotspot.time_coverage = q.Protocol.coverage;
-          code_leanness = q.Protocol.leanness;
-        }
-      in
-      let engine =
-        Option.value ~default:Core.Pipeline.Tree q.Protocol.engine
-      in
-      Some
-        (Fingerprint.of_query ~workload:q.Protocol.workload ~machine ~scale
-           ~criteria ~top:q.Protocol.top
-           ~engine:(Core.Pipeline.engine_to_string engine)))
-
 (* Sweep and explore key on their base query: the whole fan-out lands
    on one shard, where its points share the LRU (and explore its
    prepared BET).  Spreading the points instead would defeat both. *)
 let affinity_key t request body =
   match request with
   | Protocol.Analyze q | Protocol.Sweep (q, _) | Protocol.Explore (q, _) -> (
-    match query_fingerprint q with
-    | Some fp -> fp
-    | None -> body_key body)
+    (* The shard's own cache key; a query that fails to resolve
+       still routes deterministically, and its owner answers the
+       structured error. *)
+    match Dispatch.query_parts q with
+    | Ok p -> p.Dispatch.fingerprint
+    | Error _ -> body_key body)
   | Protocol.Lint _ | Protocol.Audit _ -> body_key body
   | Protocol.Workloads | Protocol.Machines | Protocol.Stats
   | Protocol.Metrics_prom | Protocol.Version | Protocol.Capabilities
@@ -274,45 +245,50 @@ let forward t ~trace_id ~key body =
   in
   go (route_order t key)
 
-(* Append a field to a response's top-level object without a full
-   re-serialization (proxied bodies can be large). *)
-let splice_field ~key ~value resp =
-  let n = String.length resp in
-  if n >= 2 && resp.[n - 1] = '}' then
-    let sep = if resp.[n - 2] = '{' then "" else "," in
-    String.sub resp 0 (n - 1) ^ Printf.sprintf "%s%S:%S}" sep key value
-  else resp
-
-let splice_shard ~shard resp = splice_field ~key:"shard" ~value:shard resp
-
-let contains_substring haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i =
-    i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1))
+(* [needle] occurs in [s] at [i]; compares in place. *)
+let occurs_at s i needle =
+  let m = String.length needle in
+  let rec go j =
+    j = m || (String.unsafe_get s (i + j) = String.unsafe_get needle j && go (j + 1))
   in
-  go 0
+  i >= 0 && i + m <= String.length s && go 0
 
-(* A shard that adopted the forwarded trace context already echoes
-   ["trace_id"]; splice it only when absent so proxied responses
-   always carry the router's id exactly once. *)
-let splice_trace ~trace_id resp =
-  if contains_substring resp "\"trace_id\":" then resp
-  else splice_field ~key:"trace_id" ~value:trace_id resp
+let json_string s = Json.to_string (Json.String s)
+
+(* Append ["trace_id"] — unless the shard, having adopted the forwarded
+   trace context, already echoes one — and ["shard"] to a proxied
+   response's top-level object, copying it once.  Proxied bodies can
+   be large, so this never re-serializes. *)
+let splice_reply ~trace_id ~shard resp =
+  let n = String.length resp in
+  if n < 2 || resp.[n - 1] <> '}' then resp
+  else begin
+    let marker = "\"trace_id\":" in
+    let rec has_trace i =
+      i + String.length marker <= n && (occurs_at resp i marker || has_trace (i + 1))
+    in
+    let fields =
+      (if has_trace 0 then [] else [ marker ^ json_string trace_id ])
+      @ [ "\"shard\":" ^ json_string shard ]
+    in
+    let sep = if resp.[n - 2] = '{' then "" else "," in
+    let tail = sep ^ String.concat "," fields ^ "}" in
+    let out = Bytes.create (n - 1 + String.length tail) in
+    Bytes.blit_string resp 0 out 0 (n - 1);
+    Bytes.blit_string tail 0 out (n - 1) (String.length tail);
+    Bytes.unsafe_to_string out
+  end
 
 let shard_of_response resp =
   let marker = "\"shard\":\"" in
-  let mlen = String.length marker in
-  let n = String.length resp in
   (* The router appends the field, so scan backwards from the tail. *)
   let rec find i =
-    if i < 0 then None
-    else if String.sub resp i mlen = marker then Some i
-    else find (i - 1)
+    if i < 0 then None else if occurs_at resp i marker then Some i else find (i - 1)
   in
-  match find (n - mlen) with
+  match find (String.length resp - String.length marker) with
   | None -> None
   | Some i -> (
-    let start = i + mlen in
+    let start = i + String.length marker in
     match String.index_from_opt resp start '"' with
     | Some j -> Some (String.sub resp start (j - start))
     | None -> None)
@@ -642,7 +618,7 @@ let handle ?received_at t body =
           match outcome_ with
           | Forwarded (m, resp) ->
             shard := Some (Member.id m);
-            splice_shard ~shard:(Member.id m) (splice_trace ~trace_id resp)
+            splice_reply ~trace_id ~shard:(Member.id m) resp
           | Shard_overloaded { retry_after_ms; message } ->
             outcome := Protocol.error_code_to_string Protocol.Overloaded;
             Protocol.error_response ?retry_after_ms ~trace_id

@@ -73,6 +73,12 @@ val run :
   config ->
   unit
 
+(** A proxied response as the router returns it: [resp] with
+    ["trace_id"] (only when the shard did not already echo one) and
+    ["shard"] appended to its top-level object, in one copy.  A body
+    that does not end in ['}'] is returned unchanged. *)
+val splice_reply : trace_id:string -> shard:string -> string -> string
+
 (** The ["shard"] field the router appended to a proxied response —
     shared by the CLI histogram, the bench and the tests.  A cheap
     tail scan, not a full JSON parse, so load generators can call it

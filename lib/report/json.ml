@@ -13,26 +13,35 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* Most keys and values need no escaping; those are returned as is. *)
 let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+  if not (String.exists needs_escape s) then s
+  else begin
+    let buf = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+  end
+
+(* The C primitive behind Printf's float conversions: the same bytes,
+   without interpreting a format string on every call. *)
+external format_float : string -> float -> string = "caml_format_float"
 
 let float_repr f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.1f" f
-  else if Float.is_finite f then Printf.sprintf "%.17g" f
+  if Float.is_integer f && Float.abs f < 1e15 then format_float "%.1f" f
+  else if Float.is_finite f then format_float "%.17g" f
   else if Float.is_nan f then "null"
   else if f > 0. then "1e999"
   else "-1e999"
@@ -77,31 +86,45 @@ exception Parse_error of int * string
 
 type parser_state = { text : string; mutable pos : int }
 
-let peek st = if st.pos < String.length st.text then Some st.text.[st.pos] else None
+let at_end st = st.pos >= String.length st.text
+
+(* The byte under the cursor, read by index.  Past the end it is NUL:
+   every branch that rejects NUL also rejects the end of input, and
+   tells the two apart with [at_end] only to word its message. *)
+let peek st =
+  if st.pos < String.length st.text then String.unsafe_get st.text st.pos
+  else '\000'
 
 let advance st = st.pos <- st.pos + 1
 
 let fail st msg = raise (Parse_error (st.pos, msg))
 
-let rec skip_ws st =
-  match peek st with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-    advance st;
-    skip_ws st
-  | _ -> ()
+(* The hot loops below walk a local index and store the cursor once. *)
+let skip_ws st =
+  let s = st.text in
+  let n = String.length s in
+  let rec go i =
+    if i < n then
+      match String.unsafe_get s i with
+      | ' ' | '\t' | '\n' | '\r' -> go (i + 1)
+      | _ -> i
+    else i
+  in
+  st.pos <- go st.pos
 
 let expect st c =
-  match peek st with
-  | Some x when x = c -> advance st
-  | Some x -> fail st (Printf.sprintf "expected %C, found %C" c x)
-  | None -> fail st (Printf.sprintf "expected %C, found end of input" c)
+  let x = peek st in
+  if x = c then advance st
+  else if at_end st then
+    fail st (Printf.sprintf "expected %C, found end of input" c)
+  else fail st (Printf.sprintf "expected %C, found %C" c x)
 
 let literal st word value =
   let n = String.length word in
-  if
-    st.pos + n <= String.length st.text
-    && String.sub st.text st.pos n = word
-  then begin
+  let rec matches i =
+    i = n || (String.unsafe_get st.text (st.pos + i) = word.[i] && matches (i + 1))
+  in
+  if st.pos + n <= String.length st.text && matches 0 then begin
     st.pos <- st.pos + n;
     value
   end
@@ -136,180 +159,228 @@ let hex4 st =
   in
   let v = ref 0 in
   for _ = 1 to 4 do
-    (match peek st with
-    | Some c ->
-      v := (!v lsl 4) lor digit c;
-      advance st
-    | None -> fail st "unterminated \\u escape");
+    if at_end st then fail st "unterminated \\u escape";
+    v := (!v lsl 4) lor digit (peek st);
+    advance st
   done;
   !v
 
+(* Advance over a string's unescaped bytes.  Returns [true] on the
+   closing quote (not consumed), [false] on a backslash. *)
+let scan_plain st =
+  let s = st.text in
+  let n = String.length s in
+  let rec go i =
+    if i >= n then i
+    else
+      match String.unsafe_get s i with
+      | '"' | '\\' -> i
+      | c when Char.code c < 0x20 -> i
+      | _ -> go (i + 1)
+  in
+  st.pos <- go st.pos;
+  match peek st with
+  | '"' -> true
+  | '\\' -> false
+  | _ ->
+    if at_end st then fail st "unterminated string"
+    else fail st "unescaped control character in string"
+
+(* The cursor is on a backslash: decode from there through the
+   closing quote into [buf]. *)
+let rec decode_escaped st buf =
+  advance st;
+  if at_end st then fail st "unterminated escape";
+  let c = peek st in
+  advance st;
+  (match c with
+  | '"' -> Buffer.add_char buf '"'
+  | '\\' -> Buffer.add_char buf '\\'
+  | '/' -> Buffer.add_char buf '/'
+  | 'b' -> Buffer.add_char buf '\b'
+  | 'f' -> Buffer.add_char buf '\012'
+  | 'n' -> Buffer.add_char buf '\n'
+  | 'r' -> Buffer.add_char buf '\r'
+  | 't' -> Buffer.add_char buf '\t'
+  | 'u' ->
+    let cp = hex4 st in
+    if cp >= 0xD800 && cp <= 0xDBFF then begin
+      (* high surrogate: require a \uXXXX low surrogate *)
+      if
+        st.pos + 1 < String.length st.text
+        && st.text.[st.pos] = '\\'
+        && st.text.[st.pos + 1] = 'u'
+      then begin
+        advance st;
+        advance st;
+        let lo = hex4 st in
+        if lo >= 0xDC00 && lo <= 0xDFFF then
+          add_utf8 buf (0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00))
+        else fail st "invalid low surrogate"
+      end
+      else fail st "unpaired high surrogate"
+    end
+    else if cp >= 0xDC00 && cp <= 0xDFFF then fail st "unpaired low surrogate"
+    else add_utf8 buf cp
+  | c -> fail st (Printf.sprintf "invalid escape \\%c" c));
+  let start = st.pos in
+  let closed = scan_plain st in
+  Buffer.add_substring buf st.text start (st.pos - start);
+  if closed then advance st else decode_escaped st buf
+
 let parse_string st =
   expect st '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | None -> fail st "unterminated string"
-    | Some '"' ->
-      advance st;
-      Buffer.contents buf
-    | Some '\\' ->
-      advance st;
-      (match peek st with
-      | None -> fail st "unterminated escape"
-      | Some c ->
-        advance st;
-        (match c with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | '/' -> Buffer.add_char buf '/'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'u' ->
-          let cp = hex4 st in
-          if cp >= 0xD800 && cp <= 0xDBFF then begin
-            (* high surrogate: require a \uXXXX low surrogate *)
-            if
-              st.pos + 1 < String.length st.text
-              && st.text.[st.pos] = '\\'
-              && st.text.[st.pos + 1] = 'u'
-            then begin
-              advance st;
-              advance st;
-              let lo = hex4 st in
-              if lo >= 0xDC00 && lo <= 0xDFFF then
-                add_utf8 buf
-                  (0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00))
-              else fail st "invalid low surrogate"
-            end
-            else fail st "unpaired high surrogate"
-          end
-          else if cp >= 0xDC00 && cp <= 0xDFFF then
-            fail st "unpaired low surrogate"
-          else add_utf8 buf cp
-        | c -> fail st (Printf.sprintf "invalid escape \\%c" c)));
-      go ()
-    | Some c when Char.code c < 0x20 ->
-      fail st "unescaped control character in string"
-    | Some c ->
-      advance st;
-      Buffer.add_char buf c;
-      go ()
+  let start = st.pos in
+  if scan_plain st then begin
+    advance st;
+    String.sub st.text start (st.pos - 1 - start)
+  end
+  else begin
+    let buf = Buffer.create (st.pos - start + 16) in
+    Buffer.add_substring buf st.text start (st.pos - start);
+    decode_escaped st buf;
+    Buffer.contents buf
+  end
+
+(* A string validated without being built; only escapes need the
+   decoder (for their surrogate-pair rules). *)
+let skip_string st =
+  let quote = st.pos in
+  expect st '"';
+  if scan_plain st then advance st
+  else begin
+    st.pos <- quote;
+    ignore (parse_string st)
+  end
+
+let digits st =
+  let s = st.text in
+  let n = String.length s in
+  let rec go i =
+    if i < n then match String.unsafe_get s i with '0' .. '9' -> go (i + 1) | _ -> i
+    else i
   in
-  go ()
+  let start = st.pos in
+  st.pos <- go start;
+  if st.pos = start then fail st "expected digit"
+
+(* Advance over one number; returns whether it has a fraction or an
+   exponent. *)
+let scan_number st =
+  if peek st = '-' then advance st;
+  (match peek st with
+  | '0' -> advance st
+  | '1' .. '9' -> digits st
+  | _ -> fail st "expected digit");
+  let fraction = peek st = '.' in
+  if fraction then begin
+    advance st;
+    digits st
+  end;
+  match peek st with
+  | 'e' | 'E' ->
+    advance st;
+    (match peek st with '+' | '-' -> advance st | _ -> ());
+    digits st;
+    true
+  | _ -> fraction
 
 let parse_number st =
   let start = st.pos in
-  let is_float = ref false in
-  if peek st = Some '-' then advance st;
-  let digits () =
-    let n = ref 0 in
-    let rec go () =
-      match peek st with
-      | Some '0' .. '9' ->
-        incr n;
-        advance st;
-        go ()
-      | _ -> ()
-    in
-    go ();
-    if !n = 0 then fail st "expected digit"
-  in
-  (match peek st with
-  | Some '0' -> advance st
-  | Some '1' .. '9' -> digits ()
-  | _ -> fail st "expected digit");
-  (match peek st with
-  | Some '.' ->
-    is_float := true;
-    advance st;
-    digits ()
-  | _ -> ());
-  (match peek st with
-  | Some ('e' | 'E') ->
-    is_float := true;
-    advance st;
-    (match peek st with
-    | Some ('+' | '-') -> advance st
-    | _ -> ());
-    digits ()
-  | _ -> ());
+  let is_float = scan_number st in
   let s = String.sub st.text start (st.pos - start) in
-  if !is_float then Float (float_of_string s)
+  if is_float then Float (float_of_string s)
   else
     match int_of_string_opt s with
     | Some i -> Int i
     | None -> Float (float_of_string s)
 
+(* The container grammar, shared by the parser and the checker: the
+   cursor is on the opening bracket; [item] reads one element, [member]
+   one object member from its key on. *)
+let walk_array st item =
+  advance st;
+  skip_ws st;
+  if peek st = ']' then advance st
+  else
+    let rec items () =
+      item ();
+      skip_ws st;
+      match peek st with
+      | ',' ->
+        advance st;
+        items ()
+      | ']' -> advance st
+      | _ -> fail st "expected ',' or ']' in array"
+    in
+    items ()
+
+let walk_object st member =
+  advance st;
+  skip_ws st;
+  if peek st = '}' then advance st
+  else
+    let rec members () =
+      skip_ws st;
+      member ();
+      skip_ws st;
+      match peek st with
+      | ',' ->
+        advance st;
+        members ()
+      | '}' -> advance st
+      | _ -> fail st "expected ',' or '}' in object"
+    in
+    members ()
+
+let colon st =
+  skip_ws st;
+  expect st ':'
+
+let unexpected st =
+  if at_end st then fail st "unexpected end of input"
+  else fail st (Printf.sprintf "unexpected character %C" (peek st))
+
 let rec parse_value st =
   skip_ws st;
   match peek st with
-  | None -> fail st "unexpected end of input"
-  | Some 'n' -> literal st "null" Null
-  | Some 't' -> literal st "true" (Bool true)
-  | Some 'f' -> literal st "false" (Bool false)
-  | Some '"' -> String (parse_string st)
-  | Some ('-' | '0' .. '9') -> parse_number st
-  | Some '[' ->
-    advance st;
-    skip_ws st;
-    if peek st = Some ']' then begin
-      advance st;
-      List []
-    end
-    else begin
-      let rec items acc =
-        let v = parse_value st in
-        skip_ws st;
-        match peek st with
-        | Some ',' ->
-          advance st;
-          items (v :: acc)
-        | Some ']' ->
-          advance st;
-          List.rev (v :: acc)
-        | _ -> fail st "expected ',' or ']' in array"
-      in
-      List (items [])
-    end
-  | Some '{' ->
-    advance st;
-    skip_ws st;
-    if peek st = Some '}' then begin
-      advance st;
-      Obj []
-    end
-    else begin
-      let field () =
-        skip_ws st;
+  | 'n' -> literal st "null" Null
+  | 't' -> literal st "true" (Bool true)
+  | 'f' -> literal st "false" (Bool false)
+  | '"' -> String (parse_string st)
+  | '-' | '0' .. '9' -> parse_number st
+  | '[' ->
+    let items = ref [] in
+    walk_array st (fun () -> items := parse_value st :: !items);
+    List (List.rev !items)
+  | '{' ->
+    let fields = ref [] in
+    walk_object st (fun () ->
         let k = parse_string st in
-        skip_ws st;
-        expect st ':';
-        let v = parse_value st in
-        (k, v)
-      in
-      let rec fields acc =
-        let kv = field () in
-        skip_ws st;
-        match peek st with
-        | Some ',' ->
-          advance st;
-          fields (kv :: acc)
-        | Some '}' ->
-          advance st;
-          List.rev (kv :: acc)
-        | _ -> fail st "expected ',' or '}' in object"
-      in
-      Obj (fields [])
-    end
-  | Some c -> fail st (Printf.sprintf "unexpected character %C" c)
+        colon st;
+        fields := (k, parse_value st) :: !fields);
+    Obj (List.rev !fields)
+  | _ -> unexpected st
 
-let of_string text =
+let rec check_value st =
+  skip_ws st;
+  match peek st with
+  | 'n' -> literal st "null" ()
+  | 't' -> literal st "true" ()
+  | 'f' -> literal st "false" ()
+  | '"' -> skip_string st
+  | '-' | '0' .. '9' -> ignore (scan_number st)
+  | '[' -> walk_array st (fun () -> check_value st)
+  | '{' ->
+    walk_object st (fun () ->
+        skip_string st;
+        colon st;
+        check_value st)
+  | _ -> unexpected st
+
+let run value text =
   let st = { text; pos = 0 } in
-  match parse_value st with
+  match value st with
   | v ->
     skip_ws st;
     if st.pos < String.length text then
@@ -317,6 +388,9 @@ let of_string text =
     else Ok v
   | exception Parse_error (pos, msg) ->
     Error (Printf.sprintf "byte %d: %s" pos msg)
+
+let of_string text = run parse_value text
+let check text = run check_value text
 
 (* --- accessors ----------------------------------------------------- *)
 

@@ -14,6 +14,11 @@ type t =
 
 val to_string : t -> string
 
+(** How a [Float] is emitted: integral values below 1e15 in magnitude
+    as ["%.1f"], other finite values as ["%.17g"] (so they read back
+    bit for bit), NaN as [null] and infinities as [±1e999]. *)
+val float_repr : float -> string
+
 (** Parse one RFC 8259 JSON text.  Numbers without a fraction or
     exponent that fit [int] parse as [Int], everything else as
     [Float]; out-of-range literals such as [1e999] become infinities.
@@ -21,6 +26,11 @@ val to_string : t -> string
     UTF-8) are handled.  Errors carry a byte offset and a message;
     trailing non-whitespace input is an error. *)
 val of_string : string -> (t, string) result
+
+(** [check s] is [Ok ()] exactly when [of_string s] is [Ok _], with the
+    same error otherwise, but builds no tree: a relay that only needs
+    to know a reply is well formed pays a scan, not a decode. *)
+val check : string -> (unit, string) result
 
 (** {1 Accessors}
 

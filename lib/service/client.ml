@@ -1,4 +1,5 @@
 module Span = Skope_telemetry.Span
+module Json = Skope_report.Json
 
 (* --- structured errors ---------------------------------------------- *)
 
@@ -114,11 +115,18 @@ let rec write_all fd bytes pos len =
 (* Read one newline-terminated response.  EOF before the newline is a
    distinct, structured outcome: an empty buffer means the server
    closed without answering (or dropped us), a non-empty one means the
-   response was truncated mid-flight. *)
+   response was truncated mid-flight.  The first read is small, since
+   most replies are a few KB and a large buffer per request loads the
+   GC; a reply that outgrows it (an explore grid runs to hundreds of
+   KB) continues in 64 KiB reads. *)
 let read_response fd =
   let buf = Buffer.create 1024 in
-  let chunk = Bytes.create 4096 in
-  let rec go () =
+  let rec newline chunk i n =
+    if i >= n then None
+    else if Bytes.unsafe_get chunk i = '\n' then Some i
+    else newline chunk (i + 1) n
+  in
+  let rec go chunk =
     match Unix.read fd chunk 0 (Bytes.length chunk) with
     | 0 ->
       if Buffer.length buf = 0 then
@@ -130,32 +138,39 @@ let read_response fd =
                 "truncated response (%d bytes, no terminating newline)"
                 (Buffer.length buf)))
     | n -> (
-      match Bytes.index_from_opt chunk 0 '\n' with
-      | Some i when i < n ->
+      match newline chunk 0 n with
+      | Some i ->
         Buffer.add_subbytes buf chunk 0 i;
         Ok (Buffer.contents buf)
-      | _ ->
+      | None ->
         Buffer.add_subbytes buf chunk 0 n;
-        go ())
+        go (if Bytes.length chunk < 65536 then Bytes.create 65536 else chunk))
   in
-  go ()
+  go (Bytes.create 4096)
 
 (* A complete response that decodes to an [overloaded] envelope is a
    transient, retryable failure — surface it as a structured error so
-   the retry loop (and the caller) can honor the backoff hint. *)
+   the retry loop (and the caller) can honor the backoff hint.  An ok
+   reply cannot be one, so it is only checked for well-formedness:
+   relaying or counting a large result never pays for its decode. *)
 let classify_body response =
-  match Service_api.parse_response response with
-  | Ok { r_ok = false; r_error_code = Some "overloaded"; r_error_message;
-         r_retry_after_ms; _ } ->
-    Error
-      (Overloaded
-         {
-           retry_after_ms = r_retry_after_ms;
-           message =
-             Option.value ~default:"server overloaded" r_error_message;
-         })
-  | Ok _ -> Ok response
-  | Error msg -> Error (Protocol msg)
+  if String.starts_with ~prefix:Protocol.ok_prefix response then
+    match Json.check response with
+    | Ok () -> Ok response
+    | Error e -> Error (Protocol (Printf.sprintf "response is not JSON: %s" e))
+  else
+    match Service_api.parse_response response with
+    | Ok { r_ok = false; r_error_code = Some "overloaded"; r_error_message;
+           r_retry_after_ms; _ } ->
+      Error
+        (Overloaded
+           {
+             retry_after_ms = r_retry_after_ms;
+             message =
+               Option.value ~default:"server overloaded" r_error_message;
+           })
+    | Ok _ -> Ok response
+    | Error msg -> Error (Protocol msg)
 
 let attempt ~timeouts ~host ~port body =
   match connect ~timeouts ~host ~port with
@@ -166,7 +181,7 @@ let attempt ~timeouts ~host ~port body =
        error on an already-failed connection is deliberately dropped. *)
     let result =
       try
-        let line = Bytes.of_string (body ^ "\n") in
+        let line = Protocol.frame body in
         write_all sock line 0 (Bytes.length line);
         read_response sock
       with Unix.Unix_error (e, fn, _) ->

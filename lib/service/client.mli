@@ -65,6 +65,13 @@ val no_retry : retry
     exact schedule. *)
 val backoff_ms : retry -> int -> float
 
+(** How a complete response body is judged (every call below ends
+    here): a reply starting with {!Protocol.ok_prefix} is only checked
+    to be well-formed JSON, never decoded; any other reply is decoded,
+    and an [overloaded] envelope becomes {!Overloaded} with its
+    [retry_after_ms].  Malformed JSON is a [Protocol] error. *)
+val classify_body : string -> (string, error) result
+
 (** One request/response round trip (a fresh connection per request,
     mirroring the server's one-request-per-connection protocol).
     No retries. *)

@@ -47,6 +47,59 @@ exception Reject of Protocol.error_code * string
 
 let reject code msg = raise (Reject (code, msg))
 
+(* --- resolved queries ------------------------------------------------ *)
+
+type query_parts = {
+  workload : Registry.t;
+  machine : Machine.t;
+  scale : float;
+  criteria : Hotspot.criteria;
+  top : int;
+  engine : P.engine;
+  fingerprint : string;
+}
+
+let keyed p =
+  {
+    p with
+    fingerprint =
+      Fingerprint.of_query ~workload:p.workload.Registry.name ~machine:p.machine
+        ~scale:p.scale ~criteria:p.criteria ~top:p.top
+        ~engine:(P.engine_to_string p.engine);
+  }
+
+let unknown_workload name =
+  ( Protocol.Unknown_workload,
+    Printf.sprintf "unknown workload %S (try the workloads request)" name )
+
+let query_parts (q : Protocol.query) =
+  match Registry.find q.Protocol.workload with
+  | None -> Error (unknown_workload q.Protocol.workload)
+  | Some workload ->
+    Result.map
+      (fun machine ->
+        keyed
+          {
+            workload;
+            machine;
+            scale =
+              Option.value ~default:workload.Registry.default_scale
+                q.Protocol.scale;
+            criteria =
+              {
+                Hotspot.time_coverage = q.Protocol.coverage;
+                code_leanness = q.Protocol.leanness;
+              };
+            top = q.Protocol.top;
+            engine = Option.value ~default:P.Tree q.Protocol.engine;
+            fingerprint = "";
+          })
+      (Protocol.resolve_machine q)
+
+(* The same query priced on another machine: a sweep variant or an
+   explore grid point. *)
+let at_machine p machine = keyed { p with machine }
+
 (* --- result rendering ---------------------------------------------- *)
 
 let json_of_spot rank total (b : Blockstat.t) =
@@ -66,21 +119,20 @@ let json_of_spot rank total (b : Blockstat.t) =
    others.  The engine is deliberately NOT part of a point's JSON
    (the two engines agree bit-for-bit, and differential gates diff
    these bytes); responses echo it at the top level instead. *)
-let render_outcome ~(workload : Registry.t) ~(machine : Machine.t) ~scale ~top
-    ~bet_nodes (o : P.Prepared.outcome) =
+let render_outcome p ~bet_nodes (o : P.Prepared.outcome) =
   Span.with_ ~name:"report" (fun () ->
   let total = o.P.Prepared.o_total_time in
   let spots =
-    List.filteri (fun i _ -> i < top) o.P.Prepared.o_blocks
+    List.filteri (fun i _ -> i < p.top) o.P.Prepared.o_blocks
     |> List.mapi (fun i b -> json_of_spot (i + 1) total b)
   in
   let sel = o.P.Prepared.o_selection in
   let tc, tm, ov = Explore.split o in
   Json.Obj
     [
-      ("workload", Json.String workload.Registry.name);
-      ("machine", Json.String machine.Machine.name);
-      ("scale", Json.Float scale);
+      ("workload", Json.String p.workload.Registry.name);
+      ("machine", Json.String p.machine.Machine.name);
+      ("scale", Json.Float p.scale);
       ("total_ms", Json.Float (total *. 1e3));
       ( "split",
         Json.Obj
@@ -100,22 +152,20 @@ let render_outcome ~(workload : Registry.t) ~(machine : Machine.t) ~scale ~top
           ] );
     ])
 
-let render_analysis ~(workload : Registry.t) ~(machine : Machine.t) ~scale ~top
-    (a : P.analysis) =
-  render_outcome ~workload ~machine ~scale ~top ~bet_nodes:a.P.a_built.node_count
-    (P.Prepared.of_analysis a)
-
-let analysis_result ~(workload : Registry.t) ~(machine : Machine.t) ~scale
-    ~criteria ~top ~engine =
-  match engine with
+let analysis_result p =
+  match p.engine with
   | P.Tree ->
-    let a = P.analyze ~criteria ~machine ~workload ~scale () in
-    render_analysis ~workload ~machine ~scale ~top a
+    let a =
+      P.analyze ~criteria:p.criteria ~machine:p.machine ~workload:p.workload
+        ~scale:p.scale ()
+    in
+    render_outcome p ~bet_nodes:a.P.a_built.node_count (P.Prepared.of_analysis a)
   | P.Arena ->
-    let prep = P.Prepared.create ~engine ~workload ~scale () in
-    let o = P.Prepared.project ~criteria prep machine in
-    render_outcome ~workload ~machine ~scale ~top
-      ~bet_nodes:(P.Prepared.built prep).node_count o
+    let prep =
+      P.Prepared.create ~engine:p.engine ~workload:p.workload ~scale:p.scale ()
+    in
+    let o = P.Prepared.project ~criteria:p.criteria prep p.machine in
+    render_outcome p ~bet_nodes:(P.Prepared.built prep).node_count o
 
 (* --- cached projection --------------------------------------------- *)
 
@@ -123,57 +173,25 @@ let lookup_workload name =
   match Registry.find name with
   | Some w -> w
   | None ->
-    reject Protocol.Unknown_workload
-      (Printf.sprintf "unknown workload %S (try the workloads request)" name)
+    let code, msg = unknown_workload name in
+    reject code msg
 
 (* One projection, through the cache.  The fingerprint covers every
    machine parameter (but the response embeds the machine's catalog
    name), so an [analyze] with overrides and a [sweep] variant with
    the same parameters share a slot. *)
-let cached_analysis t ~(workload : Registry.t) ~(machine : Machine.t) ~scale
-    ~criteria ~top ~engine =
-  let key =
-    Fingerprint.of_query ~workload:workload.Registry.name ~machine ~scale
-      ~criteria ~top ~engine:(P.engine_to_string engine)
-  in
-  match Lru.find t.cache key with
+let cached t p compute =
+  match Lru.find t.cache p.fingerprint with
   | Some json ->
     Metrics.cache_hit t.metrics;
     json
   | None ->
     Metrics.cache_miss t.metrics;
-    let json =
-      analysis_result ~workload ~machine ~scale ~criteria ~top ~engine
-    in
-    Lru.add t.cache key json;
+    let json = compute () in
+    Lru.add t.cache p.fingerprint json;
     json
 
-let resolve q =
-  match Protocol.resolve_machine q with
-  | Ok m -> m
-  | Error (code, msg) -> reject code msg
-
-let query_parts (q : Protocol.query) =
-  let workload = lookup_workload q.Protocol.workload in
-  let machine = resolve q in
-  let scale =
-    Option.value ~default:workload.Registry.default_scale q.Protocol.scale
-  in
-  let criteria =
-    {
-      Hotspot.time_coverage = q.Protocol.coverage;
-      code_leanness = q.Protocol.leanness;
-    }
-  in
-  let engine = Option.value ~default:P.Tree q.Protocol.engine in
-  (workload, machine, scale, criteria, engine)
-
-(* --- request kinds ------------------------------------------------- *)
-
-let run_analyze t (q : Protocol.query) =
-  let workload, machine, scale, criteria, engine = query_parts q in
-  cached_analysis t ~workload ~machine ~scale ~criteria ~top:q.Protocol.top
-    ~engine
+let cached_analysis t p = cached t p (fun () -> analysis_result p)
 
 (* One fan-out point (sweep variant or explore grid point), through
    the cache.  Unlike [cached_analysis] a miss does NOT rerun the full
@@ -181,68 +199,55 @@ let run_analyze t (q : Protocol.query) =
    point — and under the arena engine, consecutive misses delta-chain
    through [prev] so a single-axis step re-prices only dependent
    nodes. *)
-let cached_point t ~prepared ~prev ~(workload : Registry.t)
-    ~(machine : Machine.t) ~scale ~criteria ~top ~engine =
-  let key =
-    Fingerprint.of_query ~workload:workload.Registry.name ~machine ~scale
-      ~criteria ~top ~engine:(P.engine_to_string engine)
-  in
-  match Lru.find t.cache key with
-  | Some json ->
-    Metrics.cache_hit t.metrics;
-    json
-  | None ->
-    Metrics.cache_miss t.metrics;
-    let prep = Lazy.force prepared in
-    let o =
-      match !prev with
-      | Some p -> P.Prepared.project_delta ~criteria ~prev:p prep machine
-      | None -> P.Prepared.project ~criteria prep machine
-    in
-    prev := Some o;
-    Span.count "explore_bet_reuse_hits" 1.;
-    let json =
-      render_outcome ~workload ~machine ~scale ~top
-        ~bet_nodes:(P.Prepared.built prep).node_count o
-    in
-    Lru.add t.cache key json;
-    json
+let cached_point t ~prepared ~prev p =
+  cached t p (fun () ->
+      let prep = Lazy.force prepared in
+      let o =
+        match !prev with
+        | Some o -> P.Prepared.project_delta ~criteria:p.criteria ~prev:o prep p.machine
+        | None -> P.Prepared.project ~criteria:p.criteria prep p.machine
+      in
+      prev := Some o;
+      Span.count "explore_bet_reuse_hits" 1.;
+      render_outcome p ~bet_nodes:(P.Prepared.built prep).node_count o)
 
-let run_sweep t (q : Protocol.query) axis ~check_deadline =
-  let workload, base, scale, criteria, engine = query_parts q in
+(* The machine-independent prefix, built at most once per request —
+   and not at all when every point is served from the cache. *)
+let prepare p =
+  lazy
+    (Span.with_ ~name:"prepare" (fun () ->
+         P.Prepared.create ~engine:p.engine ~workload:p.workload ~scale:p.scale ()))
+
+(* --- request kinds ------------------------------------------------- *)
+
+let run_sweep t p axis ~check_deadline =
   (* Arena sweeps share one prepared handle across all variants (and
      delta-chain them); the tree engine keeps the historical
      one-pipeline-per-variant path.  Both render identical points. *)
-  let prepared =
-    lazy
-      (Span.with_ ~name:"prepare" (fun () ->
-           P.Prepared.create ~engine ~workload ~scale ()))
-  in
+  let prepared = prepare p in
   let prev = ref None in
   let points =
-    Designspace.variants base axis
+    Designspace.variants p.machine axis
     |> List.map (fun (tag, variant) ->
            (* Cooperative cancellation between fan-out points. *)
            check_deadline ();
            (* Re-normalize the variant's name so its fingerprint (and
               rendered result) match an equivalent override query. *)
-           let machine = { variant with Machine.name = base.Machine.name } in
+           let pt =
+             at_machine p { variant with Machine.name = p.machine.Machine.name }
+           in
            let analysis =
-             match engine with
-             | P.Tree ->
-               cached_analysis t ~workload ~machine ~scale ~criteria
-                 ~top:q.Protocol.top ~engine
-             | P.Arena ->
-               cached_point t ~prepared ~prev ~workload ~machine ~scale
-                 ~criteria ~top:q.Protocol.top ~engine
+             match p.engine with
+             | P.Tree -> cached_analysis t pt
+             | P.Arena -> cached_point t ~prepared ~prev pt
            in
            Json.Obj [ ("tag", Json.String tag); ("analysis", analysis) ])
   in
   Json.Obj
     [
-      ("workload", Json.String workload.Registry.name);
-      ("machine", Json.String base.Machine.name);
-      ("engine", Json.String (P.engine_to_string engine));
+      ("workload", Json.String p.workload.Registry.name);
+      ("machine", Json.String p.machine.Machine.name);
+      ("engine", Json.String (P.engine_to_string p.engine));
       ("axis", Json.String (Designspace.axis_name axis));
       ("points", Json.List points);
     ]
@@ -253,21 +258,13 @@ let total_ms_of_analysis json =
   | Some (Json.Int i) -> float_of_int i
   | _ -> 0.
 
-let run_explore t (q : Protocol.query) (spec : Protocol.explore_spec)
-    ~check_deadline =
-  let workload, base, scale, criteria, engine = query_parts q in
+let run_explore t p (spec : Protocol.explore_spec) ~check_deadline =
   let pts =
     Explore.grid_points ?sample:spec.Protocol.e_sample ~seed:spec.Protocol.e_seed
-      base spec.Protocol.e_axes
+      p.machine spec.Protocol.e_axes
   in
   let n = List.length pts in
-  (* The machine-independent prefix, built at most once per request —
-     and not at all when every point is served from the cache. *)
-  let prepared =
-    lazy
-      (Span.with_ ~name:"prepare" (fun () ->
-           P.Prepared.create ~engine ~workload ~scale ()))
-  in
+  let prepared = prepare p in
   let prev = ref None in
   let completed = ref 0 in
   let points =
@@ -280,10 +277,7 @@ let run_explore t (q : Protocol.query) (spec : Protocol.explore_spec)
            reject code
              (Printf.sprintf "%s after %d of %d points" msg !completed n));
         let machine = pt.Designspace.p_machine in
-        let analysis =
-          cached_point t ~prepared ~prev ~workload ~machine ~scale ~criteria
-            ~top:q.Protocol.top ~engine
-        in
+        let analysis = cached_point t ~prepared ~prev (at_machine p machine) in
         Span.count "explore_points_evaluated" 1.;
         incr completed;
         ( pt,
@@ -319,9 +313,9 @@ let run_explore t (q : Protocol.query) (spec : Protocol.explore_spec)
   in
   Json.Obj
     ([
-       ("workload", Json.String workload.Registry.name);
-       ("machine", Json.String base.Machine.name);
-       ("engine", Json.String (P.engine_to_string engine));
+       ("workload", Json.String p.workload.Registry.name);
+       ("machine", Json.String p.machine.Machine.name);
+       ("engine", Json.String (P.engine_to_string p.engine));
        ("axes", Json.List axes);
        ("grid", Json.Int (Designspace.grid_size spec.Protocol.e_axes));
      ]
@@ -541,33 +535,6 @@ let run_trace t id =
          id
          (Recorder.capacity t.recorder))
 
-(* The same cache key the LRU will use, recorded so a flight-recorder
-   entry can be correlated with cache hits/misses and with the
-   router's affinity decision for the same query. *)
-let request_fingerprint = function
-  | Protocol.Analyze q | Protocol.Sweep (q, _) | Protocol.Explore (q, _) -> (
-    match Protocol.resolve_machine q with
-    | Error _ -> None
-    | Ok machine -> (
-      match Registry.find q.Protocol.workload with
-      | None -> None
-      | Some w ->
-        let scale =
-          Option.value ~default:w.Registry.default_scale q.Protocol.scale
-        in
-        let criteria =
-          {
-            Hotspot.time_coverage = q.Protocol.coverage;
-            code_leanness = q.Protocol.leanness;
-          }
-        in
-        let engine = Option.value ~default:P.Tree q.Protocol.engine in
-        Some
-          (Fingerprint.of_query ~workload:q.Protocol.workload ~machine ~scale
-             ~criteria ~top:q.Protocol.top
-             ~engine:(P.engine_to_string engine))))
-  | _ -> None
-
 (* --- entry point --------------------------------------------------- *)
 
 (* Per-request trace ids, process-wide so concurrent worker domains
@@ -618,7 +585,15 @@ let handle ?received_at t body =
       let timeout_ms = envelope.Protocol.timeout_ms in
       kind := Protocol.kind_label request;
       Span.set_attr "kind" !kind;
-      fingerprint := request_fingerprint request;
+      (* Resolved once per request: the recorded fingerprint is the
+         key an analyze looks up, and the one the router routed on. *)
+      let resolve q =
+        match query_parts q with
+        | Ok p ->
+          fingerprint := Some p.fingerprint;
+          p
+        | Error (code, msg) -> reject code msg
+      in
       let check_deadline () =
         match timeout_ms with
         | Some ms when Unix.gettimeofday () -. received_at > ms /. 1e3 ->
@@ -629,9 +604,10 @@ let handle ?received_at t body =
       check_deadline ();
       let result =
         match request with
-        | Protocol.Analyze q -> run_analyze t q
-        | Protocol.Sweep (q, axis) -> run_sweep t q axis ~check_deadline
-        | Protocol.Explore (q, spec) -> run_explore t q spec ~check_deadline
+        | Protocol.Analyze q -> cached_analysis t (resolve q)
+        | Protocol.Sweep (q, axis) -> run_sweep t (resolve q) axis ~check_deadline
+        | Protocol.Explore (q, spec) ->
+          run_explore t (resolve q) spec ~check_deadline
         | Protocol.Lint q -> run_lint q
         | Protocol.Audit q -> run_audit q
         | Protocol.Workloads -> run_workloads ()

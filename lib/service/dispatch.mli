@@ -22,6 +22,25 @@ type t = {
 
 val create : ?config:config -> unit -> t
 
+(** A projection query with its defaults applied and its machine
+    resolved (catalog plus overrides). *)
+type query_parts = {
+  workload : Core.Workloads.Registry.t;
+  machine : Core.Hw.Machine.t;
+  scale : float;
+  criteria : Core.Analysis.Hotspot.criteria;
+  top : int;
+  engine : Core.Pipeline.engine;
+  fingerprint : string;  (** {!Fingerprint.of_query} of the fields above *)
+}
+
+(** Resolve a query once: the shard keys its cache on the
+    [fingerprint] and the router routes on it.  Errors are the
+    structured [unknown_workload] / [unknown_machine] / override
+    failures the shard answers with. *)
+val query_parts :
+  Protocol.query -> (query_parts, Protocol.error_code * string) result
+
 (** Handle one request body, returning the response body (always a
     single-line JSON string, never raising).  [received_at] is when
     the request entered the system (defaults to now): queue wait

@@ -1,13 +1,21 @@
 open Skope_hw
 open Skope_analysis
 
+(* Printf's own float primitive, called without a format interpreter. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 (* Floats are rendered with full precision so that any parameter
    perturbation — however small — yields a distinct key. *)
-let f = Printf.sprintf "%.17g"
+let f x = format_float "%.17g" x
 
 let cache_level (c : Machine.cache_level) =
-  Printf.sprintf "%d/%d/%d/%s" c.size_bytes c.line_bytes c.assoc
-    (f c.latency_cycles)
+  String.concat "/"
+    [
+      string_of_int c.size_bytes;
+      string_of_int c.line_bytes;
+      string_of_int c.assoc;
+      f c.latency_cycles;
+    ]
 
 let canonical ~workload ~(machine : Machine.t) ~scale
     ~(criteria : Hotspot.criteria) ~top ~engine =

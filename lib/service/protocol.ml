@@ -556,6 +556,15 @@ let ok_response ?trace_id result =
        @ trace_field trace_id
        @ [ ("result", result) ]))
 
+let ok_prefix = Printf.sprintf {|{"v":%d,"ok":true|} protocol_version
+
+let frame body =
+  let n = String.length body in
+  let line = Bytes.create (n + 1) in
+  Bytes.blit_string body 0 line 0 n;
+  Bytes.set line n '\n';
+  line
+
 let error_response ?retry_after_ms ?trace_id code message =
   Json.to_string
     (Json.Obj

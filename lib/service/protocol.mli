@@ -194,6 +194,15 @@ val resolve_machine :
     can correlate responses with the flight recorder and logs. *)
 val ok_response : ?trace_id:string -> Json.t -> string
 
+(** The bytes every {!ok_response} starts with, and no error response
+    does: a relay that sees them needs only to check the rest is well
+    formed, not decode it. *)
+val ok_prefix : string
+
+(** A body as it goes on the wire: its bytes plus the terminating
+    newline, in one copy. *)
+val frame : string -> bytes
+
 (** [retry_after_ms] adds the client backoff hint — meaningful only
     with {!Overloaded}.  [trace_id] as in {!ok_response}. *)
 val error_response :

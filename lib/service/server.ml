@@ -166,7 +166,7 @@ let handle_connection net faults handler queue fd accepted_at =
             count_fault ?trace_id ~faults ~fd "delay";
             Thread.delay (ms /. 1e3)
           | None -> ());
-          let line = Bytes.of_string (response ^ "\n") in
+          let line = Protocol.frame response in
           if decision.Faults.d_truncate then begin
             count_fault ?trace_id ~faults ~fd "truncate";
             (* Half the payload, no newline: the client must detect
@@ -218,12 +218,11 @@ let shed ?recorder net queue fd =
   | None -> ());
   (try
      Unix.setsockopt_float fd Unix.SO_SNDTIMEO 1.;
-     let response =
-       overloaded_response ~trace_id ~queue ~pool:net.n_pool
-         "work queue is full; retry after the hinted backoff"
-       ^ "\n"
+     let line =
+       Protocol.frame
+         (overloaded_response ~trace_id ~queue ~pool:net.n_pool
+            "work queue is full; retry after the hinted backoff")
      in
-     let line = Bytes.of_string response in
      write_all fd line 0 (Bytes.length line)
    with Unix.Unix_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()

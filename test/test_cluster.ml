@@ -320,6 +320,59 @@ let test_cluster_stats_kind () =
       | None -> false)
   | Error e -> Alcotest.failf "undecodable response: %s" e
 
+(* The router appends "trace_id" (unless the shard echoed one) and
+   "shard" in one pass, and its shard scan reads them back. *)
+let test_splice_reply () =
+  let splice = Router.splice_reply ~trace_id:"rtr-1" ~shard:"s0" in
+  let echoed = {|{"v":1,"ok":true,"trace_id":"t-9","result":{"x":1}}|} in
+  Alcotest.(check string) "shard echoed its trace id"
+    {|{"v":1,"ok":true,"trace_id":"t-9","result":{"x":1},"shard":"s0"}|}
+    (splice echoed);
+  Alcotest.(check string) "trace id spliced when absent"
+    {|{"v":1,"ok":false,"trace_id":"rtr-1","shard":"s0"}|}
+    (splice {|{"v":1,"ok":false}|});
+  Alcotest.(check string) "empty object" {|{"trace_id":"rtr-1","shard":"s0"}|}
+    (splice "{}");
+  Alcotest.(check string) "not an object: untouched" "[1]" (splice "[1]");
+  List.iter
+    (fun resp ->
+      let spliced = splice resp in
+      Alcotest.(check (option string)) "shard read back" (Some "s0")
+        (Router.shard_of_response spliced);
+      Alcotest.(check bool) "still JSON" true (Json.check spliced = Ok ()))
+    [ echoed; {|{"v":1,"ok":false}|}; "{}" ];
+  Alcotest.(check (option string)) "no shard field" None
+    (Router.shard_of_response echoed)
+
+(* Router affinity and the shard's cache share one resolution: the
+   key is the shard's LRU fingerprint, so a query spelled with another
+   workload case lands in the same slot. *)
+let test_one_fingerprint () =
+  let parts workload =
+    match
+      Service.Protocol.parse_request
+        (Printf.sprintf {|{"kind":"analyze","workload":%S,"machine":"bgq"}|}
+           workload)
+    with
+    | Ok (Service.Protocol.Analyze q, _) -> Service.Dispatch.query_parts q
+    | _ -> Alcotest.fail "analyze body did not parse"
+  in
+  let key w =
+    match parts w with
+    | Ok p -> p.Service.Dispatch.fingerprint
+    | Error (_, m) -> Alcotest.failf "resolution failed: %s" m
+  in
+  let p = Result.get_ok (parts "sord") in
+  Alcotest.(check string) "fingerprint of the resolved fields"
+    (Service.Fingerprint.of_query ~workload:"sord" ~machine:p.Service.Dispatch.machine
+       ~scale:p.Service.Dispatch.scale ~criteria:p.Service.Dispatch.criteria
+       ~top:p.Service.Dispatch.top ~engine:"tree")
+    (key "sord");
+  Alcotest.(check string) "workload case folds into one key" (key "sord") (key "SORD");
+  match parts "no-such-workload" with
+  | Error (Service.Protocol.Unknown_workload, _) -> ()
+  | _ -> Alcotest.fail "expected unknown_workload"
+
 (* --- end-to-end: in-process cluster --------------------------------- *)
 
 let with_cluster ?(shards = 2) ?(cache = 64) ?health f =
@@ -632,6 +685,9 @@ let suite =
     ( "cluster.protocol",
       [
         Alcotest.test_case "cluster_stats kind" `Quick test_cluster_stats_kind;
+        Alcotest.test_case "one-pass reply splice" `Quick test_splice_reply;
+        Alcotest.test_case "one fingerprint for route and cache" `Quick
+          test_one_fingerprint;
       ] );
     ( "cluster.e2e",
       [

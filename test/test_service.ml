@@ -874,6 +874,152 @@ let test_parse_response_trace_id () =
     Alcotest.(check bool) "r_ok" true r.A.r_ok
   | Error e -> Alcotest.failf "parse_response failed: %s" e
 
+(* --- the parse-free reply path -------------------------------------- *)
+
+(* What [Json.float_repr] must keep emitting: Printf's bytes. *)
+let printf_repr f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else if Float.is_finite f then Printf.sprintf "%.17g" f
+  else if Float.is_nan f then "null"
+  else if f > 0. then "1e999"
+  else "-1e999"
+
+let float_edges =
+  [
+    0.; -0.; 1.; -1.; 42.; 0.1; 1. /. 3.; 1e15; -1e15; Float.pred 1e15;
+    Float.succ 1e15; -.Float.pred 1e15; 1e15 -. 1.; 1e15 +. 2.; 1e16; 2. ** 53.;
+    123456789012345.6; Float.min_float; Int64.float_of_bits 1L;
+    Int64.float_of_bits 0x000FFFFFFFFFFFFFL; -.Int64.float_of_bits 1L;
+    Float.max_float; -.Float.max_float; Float.epsilon; float_of_int max_int;
+    nan; -.nan; infinity; neg_infinity;
+  ]
+
+(* Random bit patterns cover every exponent; random integers and small
+   reals hit the ["%.1f"] branch and the common reply values. *)
+let random_floats ~seed n =
+  let st = Random.State.make [| seed |] in
+  List.init n (fun i ->
+      match i mod 4 with
+      | 0 | 1 -> Int64.float_of_bits (Random.State.bits64 st)
+      | 2 -> float_of_int (Random.State.int st 0x3FFFFFFF - 0x1FFFFFFF)
+      | _ -> Random.State.float st 1e6 -. 5e5)
+
+let test_float_repr_matches_printf () =
+  List.iter
+    (fun f ->
+      let want = printf_repr f in
+      if Json.float_repr f <> want then
+        Alcotest.failf "float_repr %h: %S, Printf says %S" f (Json.float_repr f) want)
+    (float_edges @ random_floats ~seed:12 140_000)
+
+(* Fingerprint keys render machine floats with "%.17g" too. *)
+let test_fingerprint_floats_match_printf () =
+  let bgq = Core.Hw.Machines.bgq in
+  List.iter
+    (fun x ->
+      let machine = { bgq with Core.Hw.Machine.freq_ghz = x } in
+      let key =
+        Service.Fingerprint.canonical ~workload:"sord" ~machine ~scale:1.
+          ~criteria:Core.Analysis.Hotspot.default_criteria ~top:10 ~engine:"tree"
+      in
+      let want = Printf.sprintf ";freq=%.17g;" x in
+      let n = String.length want in
+      let rec found i =
+        i + n <= String.length key && (String.sub key i n = want || found (i + 1))
+      in
+      if not (found 0) then Alcotest.failf "key %S lacks %S" key want)
+    (float_edges @ random_floats ~seed:13 4_000)
+
+let agree s =
+  let parsed = Result.map ignore (Json.of_string s) in
+  if Json.check s <> parsed then
+    Alcotest.failf "check and of_string disagree on %S: %s vs %s" s
+      (match Json.check s with Ok () -> "ok" | Error e -> e)
+      (match parsed with Ok () -> "ok" | Error e -> e)
+
+(* Bytes that steer a flip into structure, escapes and numbers. *)
+let flip_bytes = "{}[],:\"\\ \n0123456789.eE+-tfnu\x00\x1f\xff"
+
+let mutants ~seed ~flips ~cuts s =
+  let st = Random.State.make [| seed |] in
+  let n = String.length s in
+  List.init flips (fun _ ->
+      let b = Bytes.of_string s in
+      let c =
+        if Random.State.bool st then flip_bytes.[Random.State.int st (String.length flip_bytes)]
+        else Char.chr (Random.State.int st 256)
+      in
+      Bytes.set b (Random.State.int st n) c;
+      Bytes.to_string b)
+  @ List.init cuts (fun _ -> String.sub s 0 (Random.State.int st n))
+
+let prop_check_agrees =
+  QCheck.Test.make ~name:"check agrees with of_string" ~count:500
+    (QCheck.make ~print:Json.to_string gen_json)
+    (fun t ->
+      let s = Json.to_string t in
+      if Json.check s <> Ok () then QCheck.Test.fail_reportf "rejected %S" s;
+      if String.length s > 0 then
+        List.iter agree (mutants ~seed:(Hashtbl.hash s) ~flips:4 ~cuts:2 s);
+      true)
+
+let test_check_edge_texts () =
+  List.iter agree
+    [
+      ""; " "; "nul"; "null"; "nullx"; "[nullx]"; "{"; "[1,]"; "[ ]"; "{ }";
+      {|{"a":}|}; {|{"a" 1}|}; {|{"a":1,}|}; {|{1:2}|}; "\"unterminated";
+      "\"bad \\x escape\""; "\"unpaired \\ud834\""; "\"lone \\udd1e\"";
+      "\"pair \\ud834\\udd1e\""; "\"\\ud834\\u0041\""; "\"\\u00e\""; "\"\\";
+      "\"ctrl \x01 raw\""; "\"nul \x00\""; "\x00"; "01"; "1."; "+1"; "-";
+      "-0"; "1e"; "1e+"; "1E-7"; "99999999999999999999"; "[1] trailing";
+      "[1]  "; "\"esc \\n then plain\""; {|{"k\"ey":[true,false,null]}|};
+    ]
+
+let explore_body =
+  {|{"kind":"explore","workload":"pedagogical","machine":"bgq","axes":[{"axis":"bw","values":[1,2,4,8]},{"axis":"freq","values":[0.8,1.2,1.6,2.0]}],"trace":{"id":"t-explore"}}|}
+
+(* Flips and cuts of real replies: a 16-point explore grid, and the
+   analyze and sweep replies hot-hits serves from the cache. *)
+let test_check_real_replies () =
+  let dispatch = Service.Dispatch.create () in
+  List.iteri
+    (fun i body ->
+      let reply = handle ~dispatch body in
+      Alcotest.(check bool) "reply ok" true (is_ok reply);
+      agree reply;
+      List.iter agree (mutants ~seed:i ~flips:300 ~cuts:60 reply))
+    [ explore_body; analyze_body; sweep_body ]
+
+let test_client_classify_body () =
+  let module P = Service.Protocol in
+  let ok = P.ok_response ~trace_id:"t" (Json.Obj [ ("x", Json.Float 1.5) ]) in
+  Alcotest.(check bool) "ok replies carry the prefix" true
+    (String.starts_with ~prefix:P.ok_prefix ok);
+  (match Client.classify_body ok with
+  | Ok r -> Alcotest.(check string) "ok reply passed through" ok r
+  | Error e -> Alcotest.failf "ok reply refused: %a" Client.pp_error e);
+  List.iter
+    (fun bad ->
+      match Client.classify_body bad with
+      | Error (Client.Protocol _) -> ()
+      | Error e -> Alcotest.failf "%S: expected protocol, got %a" bad Client.pp_error e
+      | Ok _ -> Alcotest.failf "malformed ok reply %S accepted" bad)
+    [
+      String.sub ok 0 (String.length ok - 1);
+      P.ok_prefix ^ {|,"result":[1,]}|};
+      P.ok_prefix ^ "}x";
+      "not json";
+    ];
+  let shed = P.error_response ~retry_after_ms:75. ~trace_id:"t" P.Overloaded "queue full" in
+  Alcotest.(check bool) "errors lack the prefix" false
+    (String.starts_with ~prefix:P.ok_prefix shed);
+  (match Client.classify_body shed with
+  | Error (Client.Overloaded { retry_after_ms = Some 75.; message = "queue full" }) -> ()
+  | _ -> Alcotest.fail "overloaded envelope not surfaced with its hint");
+  let invalid = P.error_response P.Invalid_request "bad" in
+  Alcotest.(check bool) "other errors are replies" true
+    (Client.classify_body invalid = Ok invalid)
+
 let suite =
   [
     ( "service.json",
@@ -883,6 +1029,14 @@ let suite =
         Alcotest.test_case "string escapes" `Quick test_parse_string_escapes;
         Alcotest.test_case "errors" `Quick test_parse_errors;
         to_alcotest prop_roundtrip;
+        Alcotest.test_case "float_repr matches Printf" `Quick
+          test_float_repr_matches_printf;
+        Alcotest.test_case "fingerprint floats match Printf" `Quick
+          test_fingerprint_floats_match_printf;
+        to_alcotest prop_check_agrees;
+        Alcotest.test_case "check edge texts" `Quick test_check_edge_texts;
+        Alcotest.test_case "check on mutated replies" `Quick
+          test_check_real_replies;
       ] );
     ( "service.protocol",
       [
@@ -935,6 +1089,8 @@ let suite =
           test_faults_determinism;
         Alcotest.test_case "backoff determinism and cap" `Quick
           test_backoff_deterministic;
+        Alcotest.test_case "client classifies replies" `Quick
+          test_client_classify_body;
         Alcotest.test_case "overloaded response decoding" `Quick
           test_parse_overloaded_response;
         Alcotest.test_case "drain on shutdown" `Quick
