@@ -811,10 +811,11 @@ let explore_section () =
     (if same then "yes" else "NO")
 
 (* ------------------------------------------------------------------ *)
-(* Arena engine: per-point re-pricing cost on a 1024-point grid.  The
-   acceptance bar for the arena is >= 5x under the PR 4 shared-BET
-   tree walk per point, with bit-identical results (the differential
-   suite gates the identity; this section reports the cost). *)
+(* Arena pricing: per-point re-pricing cost on a 1024-point grid.  The
+   acceptance bar for the arena is >= 5x under the shared-BET tree
+   walk (the Perf.project oracle) per point, with bit-identical results
+   (the differential suite gates the identity; this section reports
+   the cost). *)
 
 let arena_section ?(record = fun _ _ -> ()) ?(scale = 0.25) () =
   section "arena_projection"
@@ -844,10 +845,9 @@ let arena_section ?(record = fun _ _ -> ()) ?(scale = 0.25) () =
   (* The one-time prepare/flatten is excluded: the bar is the marginal
      pricing cost per grid point.  Hot-spot selection is excluded from
      all three rows alike — it is the same downstream stage whichever
-     engine priced the point. *)
-  let tree_prep = P.Prepared.create ~workload:w ~scale () in
-  let arena_prep = P.Prepared.create ~engine:P.Arena ~workload:w ~scale () in
-  let built = P.Prepared.built tree_prep in
+     code priced the point. *)
+  let prepared = P.Prepared.create ~workload:w ~scale () in
+  let built = P.Prepared.built prepared in
   let arena = Bet.Arena.of_build built in
   let best f =
     ignore (f ());
@@ -860,7 +860,7 @@ let arena_section ?(record = fun _ _ -> ()) ?(scale = 0.25) () =
     done;
     !b
   in
-  (* PR 4 baseline: the recursive tree walk, once per point. *)
+  (* Baseline: the recursive tree walk, once per point. *)
   let tree_s =
     best (fun () ->
         Array.iter (fun m -> ignore (Analysis.Perf.project m built)) machines)
@@ -886,24 +886,23 @@ let arena_section ?(record = fun _ _ -> ()) ?(scale = 0.25) () =
   in
   let us x = x /. float_of_int n *. 1e6 in
   Fmt.pr "%d-point grid of SORD (scale %.2f) around BG/Q, per point:@." n scale;
-  Fmt.pr "  tree walk (PR 4 shared BET)          %8.2f us@." (us tree_s);
+  Fmt.pr "  tree walk (shared BET)               %8.2f us@." (us tree_s);
   Fmt.pr "  arena, full pass                     %8.2f us  -> %.1fx@."
     (us full_s) (tree_s /. full_s);
   Fmt.pr "  arena, delta chain                   %8.2f us  -> %.1fx@."
     (us delta_s) (tree_s /. delta_s);
   if tree_s /. delta_s < 5. then
     Fmt.pr "  WARNING: arena delta speedup below the 5x acceptance bar@.";
-  (* Bit-for-bit identity through the full projection API (selection
-     included), on every grid point. *)
-  let rt = Explore.evaluate ~jobs:1 tree_prep pts in
-  let ra = Explore.evaluate ~jobs:1 arena_prep pts in
+  (* Bit-for-bit identity of the projection API against the tree-walk
+     oracle, on every grid point. *)
+  let ra = Explore.evaluate ~jobs:1 prepared pts in
   let same =
-    List.for_all2
-      (fun (a : Explore.point) (b : Explore.point) ->
-        Float.equal a.Explore.time b.Explore.time
-        && a.Explore.outcome.P.Prepared.o_blocks
-           = b.Explore.outcome.P.Prepared.o_blocks)
-      rt.Explore.points ra.Explore.points
+    List.for_all
+      (fun (a : Explore.point) ->
+        let t = Analysis.Perf.project a.Explore.machine built in
+        Float.equal t.Analysis.Perf.total_time a.Explore.time
+        && t.Analysis.Perf.blocks = a.Explore.outcome.P.Prepared.o_blocks)
+      ra.Explore.points
   in
   Fmt.pr "@.arena matches tree on all %d points: %s@." n
     (if same then "yes" else "NO");

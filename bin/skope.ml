@@ -432,18 +432,20 @@ let print_analysis machine program inputs criteria k =
       ~lib_work:(Core.Hw.Libmix.work_fn Core.Hw.Libmix.default)
       ~inputs program
   in
-  let proj = Core.Analysis.Perf.project machine built in
+  let module AP = Core.Analysis.Arena_price in
+  let priced = AP.price (Core.Bet.Arena.of_build built) machine in
+  let blocks = AP.blocks priced and total_time = AP.total_time priced in
   Span.with_ ~name:"report" (fun () ->
-      Table.print (spots_table "" proj.total_time proj.blocks k));
+      Table.print (spots_table "" total_time blocks k));
   let sel =
     Span.with_ ~name:"hotspot" (fun () ->
         Hotspot.select ~criteria
           ~total_instructions:(Core.Bet.Bst.total_instructions built.bst)
-          proj.blocks)
+          blocks)
   in
   Fmt.pr "@.selection: %d spots, coverage %s, leanness %s@."
     (List.length sel.spots) (pct sel.coverage) (pct sel.leanness);
-  if sel.spots = [] && proj.blocks <> [] then
+  if sel.spots = [] && blocks <> [] then
     Fmt.pr
       "hint: no block fits the %s leanness budget — kernels without \
        cold-code bulk usually need a looser --leanness@."
@@ -451,7 +453,7 @@ let print_analysis machine program inputs criteria k =
   Fmt.pr "BET: %d nodes (program: %d statements); total projected %.4g ms@."
     built.node_count
     (Core.Skeleton.Ast.program_size program)
-    (proj.total_time *. 1e3);
+    (total_time *. 1e3);
   List.iter (fun w -> Fmt.pr "warning: %s@." w) built.warnings
 
 let cmd_analyze =
@@ -834,8 +836,8 @@ let cmd_explore =
         ("cost", J.Float p.Explore.cost);
       ]
   in
-  let run workload machine scale axes sample seed jobs engine coverage
-      leanness format trace =
+  let run workload machine scale axes sample seed jobs coverage leanness
+      format trace =
     with_trace trace ~root:"explore" @@ fun () ->
     if axes = [] then begin
       Fmt.epr "nothing to explore: give at least one --axis KEY=V1,V2,...@.";
@@ -854,9 +856,8 @@ let cmd_explore =
       else min (Domain.recommended_domain_count ()) (List.length pts)
     in
     (* The machine-independent prefix runs exactly once; every grid
-       point below only re-prices the shared BET through the selected
-       engine. *)
-    let prepared = P.Prepared.create ~engine ~workload:w ~scale () in
+       point below only re-prices the shared BET. *)
+    let prepared = P.Prepared.create ~workload:w ~scale () in
     let on_point =
       match format with
       | `Ndjson ->
@@ -923,11 +924,10 @@ let cmd_explore =
            ~aligns:Table.[ Left; Right; Right; Right; Right; Right; Left ]
            rows);
       Fmt.pr
-        "@.%d points priced against one BET (%d nodes, %s engine) with %d \
-         domain%s in %.0f ms; pareto: %s@."
+        "@.%d points priced against one BET (%d nodes) with %d domain%s in \
+         %.0f ms; pareto: %s@."
         (List.length r.Explore.points)
-        (P.Prepared.built prepared).Core.Bet.Build.node_count
-        (P.engine_to_string engine) jobs
+        (P.Prepared.built prepared).Core.Bet.Build.node_count jobs
         (if jobs = 1 then "" else "s")
         (r.Explore.elapsed *. 1e3)
         (String.concat ", " pareto_tags)
@@ -940,7 +940,7 @@ let cmd_explore =
           projected time and a hardware cost proxy")
     Term.(
       const run $ workload_arg $ machine_arg $ scale_arg $ axes_arg
-      $ sample_arg $ seed_arg $ jobs_arg $ engine_arg $ coverage_arg
+      $ sample_arg $ seed_arg $ jobs_arg $ coverage_arg
       $ leanness_arg $ format_stream_arg $ trace_arg)
 
 let cmd_nodes =
@@ -1373,9 +1373,8 @@ let cmd_query =
   (* Typed request construction: a missing or misspelled field is
      caught here instead of coming back as a server error.  The --body
      flag below remains the raw-JSON escape hatch. *)
-  let build_body kind workload machine scale top coverage leanness engine axis
-      values axes sample seed overrides timeout_ms trace_id last errors_only
-      min_ms =
+  let build_body kind workload machine scale top coverage leanness axis values
+      axes sample seed overrides timeout_ms trace_id last errors_only min_ms =
     let module A = Skope_service.Service_api in
     let overrides =
       List.map
@@ -1394,7 +1393,7 @@ let cmd_query =
             exit 2)
         overrides
     in
-    let opts = { A.scale; top; coverage; leanness; overrides; engine } in
+    let opts = { A.scale; top; coverage; leanness; overrides } in
     let axis_spec spec =
       match String.index_opt spec '=' with
       | Some i ->
@@ -1535,9 +1534,9 @@ let cmd_query =
       | None -> fail "trace response has no result to export")
     | Error msg -> fail msg
   in
-  let run host port kind workload machine scale top coverage leanness engine
-      axis values axes sample seed overrides timeout_ms body repeat concurrency
-      stats retries retry_base_ms retry_max_ms retry_seed connect_timeout_ms
+  let run host port kind workload machine scale top coverage leanness axis
+      values axes sample seed overrides timeout_ms body repeat concurrency stats
+      retries retry_base_ms retry_max_ms retry_seed connect_timeout_ms
       io_timeout_ms trace_id chrome last errors_only min_ms corpus =
     let kind = if stats then "stats" else kind in
     (* Built lazily: in --corpus mode the flag-derived single body is
@@ -1547,8 +1546,8 @@ let cmd_query =
       match body with
       | Some b -> b
       | None ->
-        build_body kind workload machine scale top coverage leanness engine
-          axis values axes sample seed overrides timeout_ms trace_id last
+        build_body kind workload machine scale top coverage leanness axis
+          values axes sample seed overrides timeout_ms trace_id last
           errors_only min_ms
     in
     (* A corpus replays every generated skeleton as an inline-source
@@ -1706,8 +1705,8 @@ let cmd_query =
           retry volume and latency percentiles")
     Term.(
       const run $ host_arg $ port_arg $ kind_arg $ workload_arg $ machine_arg
-      $ scale_arg $ top_arg $ coverage_arg $ leanness_arg $ engine_opt_arg
-      $ axis_arg $ values_arg $ axes_arg $ sample_arg $ seed_arg $ override_arg
+      $ scale_arg $ top_arg $ coverage_arg $ leanness_arg $ axis_arg
+      $ values_arg $ axes_arg $ sample_arg $ seed_arg $ override_arg
       $ timeout_arg $ body_arg $ repeat_arg $ concurrency_arg $ stats_flag
       $ retries_arg $ retry_base_arg $ retry_max_arg $ retry_seed_arg
       $ connect_timeout_arg $ io_timeout_arg $ trace_id_arg $ chrome_arg
@@ -2149,9 +2148,9 @@ let cmd_fuzz =
     (Cmd.info "fuzz"
        ~doc:
          "Differential fuzzing: generate seeded skeletons and gate each on \
-          pretty/parse round-trip, lint and audit health, tree vs arena \
-          engine bit-parity, and analyze-vs-simulate sanity bounds; \
-          failures print a one-line reproducer")
+          pretty/parse round-trip, lint and audit health, arena pricing vs \
+          its tree-walk oracle bit-parity, and analyze-vs-simulate sanity \
+          bounds; failures print a one-line reproducer")
     Term.(
       const run $ gen_config_term $ gen_archetype_arg $ gen_seed_arg
       $ gen_count_arg 100 $ gen_jobs_arg $ sim_bound_arg $ index_arg

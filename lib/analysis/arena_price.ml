@@ -197,7 +197,7 @@ let aggregate ~mask ?prev (a : Arena.t) st =
 
 let with_eval_span (machine : Machine.t) f =
   Skope_telemetry.Span.with_ ~name:"eval"
-    ~attrs:[ ("machine", machine.Machine.name); ("engine", "arena") ]
+    ~attrs:[ ("machine", machine.Machine.name) ]
     f
 
 let price ?(opts = Roofline.default_opts) ?(cache = Perf.Constant)
@@ -264,6 +264,24 @@ let price_delta ?(opts = Roofline.default_opts) ?(cache = Perf.Constant)
           p_total_time = Blockstat.total_time blocks;
           p_state = st;
         })
+
+(* Filled in the tree walk's visit order into tables of the tree
+   walk's initial size, so even their bucket layout matches. *)
+let projection (a : Arena.t) (p : priced) : Perf.projection =
+  let node_time = Hashtbl.create 256 and node_enr = Hashtbl.create 256 in
+  Array.iter
+    (fun i ->
+      let enr = a.Arena.enrs.(i) in
+      Hashtbl.replace node_time a.Arena.ids.(i) (p.p_state.s_tot.(i) *. enr);
+      Hashtbl.replace node_enr a.Arena.ids.(i) enr)
+    a.Arena.pre_order;
+  {
+    Perf.machine = p.p_machine;
+    blocks = p.p_blocks;
+    total_time = p.p_total_time;
+    node_time;
+    node_enr;
+  }
 
 let price_batch ?opts ?cache (a : Arena.t) (machines : Machine.t array) :
     priced array =

@@ -1,12 +1,12 @@
 (** Batched re-pricing of a flat BET {!Arena} (paper §V-A).
 
-    Bit-for-bit identical to {!Perf.project} on blocks and total time:
-    per-node pricing calls the same {!Roofline.estimate} on the same
-    work records with the same opts resolution, and per-block
-    aggregation replays the arena's recorded pre-order so float
-    addition rounds identically.  The projection's per-node hash
-    tables ([node_time]/[node_enr], used only by hot-path annotation)
-    are not produced — use the tree engine for [skope hotpath]. *)
+    The pricing engine of the pipeline, the service and the explorer;
+    {!Perf.project} is its test and fuzz oracle.  Bit-for-bit
+    identical to it on blocks, total time and per-node times: per-node
+    pricing calls the same {!Roofline.estimate} on the same work
+    records with the same opts resolution, and per-block aggregation
+    replays the arena's recorded pre-order so float addition rounds
+    identically. *)
 
 open Skope_bet
 open Skope_hw
@@ -50,6 +50,11 @@ val price_delta :
   Arena.t ->
   Machine.t ->
   priced
+
+(** The priced point as a {!Perf.projection}, with the per-node
+    tables hot-path annotation reads: node time [total *. enr] and
+    ENR, keyed by BET node id.  [priced] must come from [arena]. *)
+val projection : Arena.t -> priced -> Perf.projection
 
 (** Price a machine sweep, delta-chaining consecutive points so each
     slot is estimated at most once per point and usually far less. *)

@@ -29,14 +29,16 @@ val bytes_per_exec : Node.t -> float
 
 (** Hit ratios under the [Footprint] model: per cache level, 0.95 if
     the working set fits, else only spatial (within-line) reuse.
-    Shared by the tree walk and the arena engine so the two price
+    Shared by the tree walk and {!Arena_price} so the two price
     identically. *)
 val footprint_hits :
   Machine.t -> footprint:float -> base:Roofline.opts -> Roofline.opts
 
-(** Project [built] onto [machine]; [opts] selects roofline
-    refinements and [cache] the hit-ratio model (default: the paper's
-    baseline). *)
+(** Project [built] onto [machine] by a recursive walk of the BET;
+    [opts] selects roofline refinements and [cache] the hit-ratio
+    model (default: the paper's baseline).  The pipeline prices
+    through {!Arena_price}; this walk is the reference it is tested
+    against, bit for bit. *)
 val project :
   ?opts:Roofline.opts ->
   ?cache:cache_model ->

@@ -57,106 +57,23 @@ let profile ?(seed = 42L) ~libmix ~inputs program : Hints.t =
       in
       (Interp.run ~config ~inputs program).Interp.hints)
 
-(** The machine-independent prefix of the pipeline: everything that
-    does not depend on the target machine, so a design-space explorer
-    can run it once and re-price the same BET on every grid point. *)
-type prepared = {
-  pre_workload : Registry.t;
-  pre_scale : float;
-  pre_program : Ast.program;
-  pre_inputs : (string * Value.t) list;
-  pre_hints : Hints.t;
-  pre_built : Build.result;  (** the BET, priced by nothing yet *)
-}
-
-(** Build the machine-independent artifact: workload make -> validate
-    -> lint -> (optional local profiling) -> BET construction.
-    [profile_hints] replaces the caller-supplied [hints] with one
-    local profiling run (the [run] path); [hints] defaults to empty
-    (the [analyze] path). *)
-let prepare ?(hints = Hints.empty) ?(profile_hints = false) ?(seed = 42L)
-    ~(workload : Registry.t) ~scale () : prepared =
-  let program, inputs =
-    Span.with_ ~name:"workload_make"
-      ~attrs:[ ("workload", workload.Registry.name) ]
-      (fun () -> workload.Registry.make ~scale)
-  in
-  Span.with_ ~name:"validate" (fun () ->
-      Validate.check_exn ~inputs:(List.map fst inputs) program);
-  Span.with_ ~name:"lint" (fun () ->
-      Skope_lint.Engine.check_exn ~inputs program);
-  let libmix = workload.Registry.libmix in
-  let hints =
-    if profile_hints then profile ~seed ~libmix ~inputs program else hints
-  in
-  let built =
-    Build.build ~hints ~lib_work:(Libmix.work_fn libmix) ~inputs program
-  in
-  {
-    pre_workload = workload;
-    pre_scale = scale;
-    pre_program = program;
-    pre_inputs = inputs;
-    pre_hints = hints;
-    pre_built = built;
-  }
-
-(** Price a prepared BET on one target machine: projection plus hot
-    spot selection, nothing machine-independent recomputed.  Safe to
-    call concurrently from several domains on the same [prepared]
-    (the BET is read-only here). *)
-let project_onto ?(criteria = Hotspot.default_criteria)
-    ?(opts = Roofline.default_opts) ?(cache = Perf.Constant) (p : prepared)
-    (machine : Machine.t) : analysis =
-  let projection = Perf.project ~opts ~cache machine p.pre_built in
-  let selection =
-    Span.with_ ~name:"hotspot" (fun () ->
-        Hotspot.select ~criteria ~assume_ranked:true
-          ~total_instructions:(Bst.total_instructions p.pre_built.Build.bst)
-          projection.Perf.blocks)
-  in
-  {
-    a_program = p.pre_program;
-    a_built = p.pre_built;
-    a_projection = projection;
-    a_selection = selection;
-  }
-
-(** BET pricing engines.  [Tree] is the recursive walk of
-    {!Perf.project}; [Arena] flattens the BET once into a post-order
-    arena ({!Skope_bet.Arena}) and re-prices it with flat forward
-    loops and per-axis incrementality ({!Arena_price}).  The two are
-    bit-for-bit identical on blocks and totals. *)
-type engine = Tree | Arena
-
-let engine_to_string = function Tree -> "tree" | Arena -> "arena"
-
-let engine_of_string s =
-  match String.lowercase_ascii s with
-  | "tree" -> Some Tree
-  | "arena" -> Some Arena
-  | _ -> None
-
-let engine_names = [ "tree"; "arena" ]
-
-(** The redesigned projection API: an abstract handle over the
-    machine-independent artifact plus the pricing engine chosen for
-    it.  {!prepare}/{!project_onto} remain as thin wrappers over the
-    tree engine for existing callers and are deprecated in favor of
-    this module. *)
+(** The projection API: an abstract handle over the
+    machine-independent prefix of the pipeline (everything that does
+    not depend on the target machine), priced through the arena. *)
 module Prepared = struct
-  type handle = {
-    pre : prepared;
-    h_engine : engine;
-    h_arena : Arena.t option;  (** [Some] iff [h_engine = Arena] *)
+  type t = {
+    workload : Registry.t;
+    scale : float;
+    program : Ast.program;
+    inputs : (string * Value.t) list;
+    hints : Hints.t;
+    built : Build.result;  (** the BET *)
+    arena : Arena.t;  (** the BET, flattened for pricing *)
   }
 
-  type t = handle
-
-  (** Result of pricing one machine point, engine-independent.
-      [o_state] (arena engine only) carries the pricing state that
-      {!project_delta} continues from; [strip_state] drops it when a
-      caller retains many outcomes. *)
+  (** Result of pricing one machine point.  [o_state] carries the
+      pricing state that {!project_delta} continues from;
+      [strip_state] drops it when a caller retains many outcomes. *)
   type outcome = {
     o_machine : Machine.t;
     o_blocks : Blockstat.t list;  (** ranked by decreasing time *)
@@ -165,37 +82,46 @@ module Prepared = struct
     o_state : Arena_price.priced option;
   }
 
-  (* The arena is built eagerly: OCaml's [Lazy.force] is not safe to
-     race from the explorer's domain pool. *)
-  let of_prepared ?(engine = Tree) (pre : prepared) : t =
-    {
-      pre;
-      h_engine = engine;
-      h_arena =
-        (match engine with
-        | Tree -> None
-        | Arena ->
-          Some
-            (Span.with_ ~name:"arena_build" (fun () ->
-                 Arena.of_build pre.pre_built)));
-    }
+  (* Workload make -> validate -> lint -> (optional local profiling)
+     -> BET construction -> arena.  [profile_hints] replaces the
+     caller-supplied [hints] with one local profiling run (the [run]
+     path); [hints] defaults to empty (the [analyze] path).  The
+     arena is built eagerly: OCaml's [Lazy.force] is not safe to race
+     from the explorer's domain pool. *)
+  let create ?(hints = Hints.empty) ?(profile_hints = false) ?(seed = 42L)
+      ~(workload : Registry.t) ~scale () : t =
+    let program, inputs =
+      Span.with_ ~name:"workload_make"
+        ~attrs:[ ("workload", workload.Registry.name) ]
+        (fun () -> workload.Registry.make ~scale)
+    in
+    Span.with_ ~name:"validate" (fun () ->
+        Validate.check_exn ~inputs:(List.map fst inputs) program);
+    Span.with_ ~name:"lint" (fun () ->
+        Skope_lint.Engine.check_exn ~inputs program);
+    let libmix = workload.Registry.libmix in
+    let hints =
+      if profile_hints then profile ~seed ~libmix ~inputs program else hints
+    in
+    let built =
+      Build.build ~hints ~lib_work:(Libmix.work_fn libmix) ~inputs program
+    in
+    let arena =
+      Span.with_ ~name:"arena_build" (fun () -> Arena.of_build built)
+    in
+    { workload; scale; program; inputs; hints; built; arena }
 
-  let create ?hints ?profile_hints ?seed ?engine ~workload ~scale () : t =
-    of_prepared ?engine (prepare ?hints ?profile_hints ?seed ~workload ~scale ())
-
-  let prepared t = t.pre
-  let built t = t.pre.pre_built
-  let workload t = t.pre.pre_workload
-  let scale t = t.pre.pre_scale
-  let engine t = t.h_engine
+  let built t = t.built
+  let workload t = t.workload
+  let scale t = t.scale
   let strip_state o = { o with o_state = None }
 
-  (* Both engines rank before we get here ([Perf.project] and
-     [Arena_price.aggregate]), so the selection re-sort is skipped. *)
+  (* The arena ranks before we get here ([Arena_price.aggregate]), so
+     the selection re-sort is skipped. *)
   let select ~criteria t blocks =
     Span.with_ ~name:"hotspot" (fun () ->
         Hotspot.select ~criteria ~assume_ranked:true
-          ~total_instructions:(Bst.total_instructions t.pre.pre_built.Build.bst)
+          ~total_instructions:(Bst.total_instructions t.built.Build.bst)
           blocks)
 
   let of_priced ~criteria t (p : Arena_price.priced) : outcome =
@@ -208,50 +134,31 @@ module Prepared = struct
       o_state = Some p;
     }
 
-  (** Repackage a tree-engine [analysis] (for callers bridging the two
-      APIs, e.g. cached render paths). *)
-  let of_analysis (a : analysis) : outcome =
-    {
-      o_machine = a.a_projection.Perf.machine;
-      o_blocks = a.a_projection.Perf.blocks;
-      o_total_time = a.a_projection.Perf.total_time;
-      o_selection = a.a_selection;
-      o_state = None;
-    }
-
   let project ?(criteria = Hotspot.default_criteria)
       ?(opts = Roofline.default_opts) ?(cache = Perf.Constant) (t : t)
       (machine : Machine.t) : outcome =
-    match t.h_arena with
-    | Some arena ->
-      of_priced ~criteria t (Arena_price.price ~opts ~cache arena machine)
-    | None ->
-      let projection = Perf.project ~opts ~cache machine t.pre.pre_built in
-      {
-        o_machine = machine;
-        o_blocks = projection.Perf.blocks;
-        o_total_time = projection.Perf.total_time;
-        o_selection = select ~criteria t projection.Perf.blocks;
-        o_state = None;
-      }
+    of_priced ~criteria t (Arena_price.price ~opts ~cache t.arena machine)
 
   let project_delta ?(criteria = Hotspot.default_criteria)
       ?(opts = Roofline.default_opts) ?(cache = Perf.Constant) ~prev (t : t)
       (machine : Machine.t) : outcome =
-    match (t.h_arena, prev.o_state) with
-    | Some arena, Some p ->
+    match prev.o_state with
+    | Some p ->
       of_priced ~criteria t
-        (Arena_price.price_delta ~opts ~cache ~prev:p arena machine)
-    | _ -> project ~criteria ~opts ~cache t machine
+        (Arena_price.price_delta ~opts ~cache ~prev:p t.arena machine)
+    | None -> project ~criteria ~opts ~cache t machine
 
   let project_batch ?(criteria = Hotspot.default_criteria)
       ?(opts = Roofline.default_opts) ?(cache = Perf.Constant) (t : t)
       (machines : Machine.t array) : outcome array =
-    match t.h_arena with
-    | Some arena ->
-      Array.map (of_priced ~criteria t)
-        (Arena_price.price_batch ~opts ~cache arena machines)
-    | None -> Array.map (project ~criteria ~opts ~cache t) machines
+    Array.map (of_priced ~criteria t)
+      (Arena_price.price_batch ~opts ~cache t.arena machines)
+
+  (* The full projection, per-node tables included (for [run]'s hot
+     path and invocation views). *)
+  let projection ~opts ~cache t machine =
+    Arena_price.projection t.arena
+      (Arena_price.price ~opts ~cache t.arena machine)
 end
 
 (** Analytic projection only — no execution on [machine] at all. *)
@@ -259,8 +166,14 @@ let analyze ?(criteria = Hotspot.default_criteria)
     ?(opts = Roofline.default_opts) ?(cache = Perf.Constant)
     ?(hints = Hints.empty) ~machine ~(workload : Registry.t) ~scale () :
     analysis =
-  let prepared = prepare ~hints ~workload ~scale () in
-  project_onto ~criteria ~opts ~cache prepared machine
+  let t = Prepared.create ~hints ~workload ~scale () in
+  let projection = Prepared.projection ~opts ~cache t machine in
+  {
+    a_program = t.Prepared.program;
+    a_built = t.Prepared.built;
+    a_projection = projection;
+    a_selection = Prepared.select ~criteria t projection.Perf.blocks;
+  }
 
 (** Static performance audit of a bundled workload: symbolic scaling /
     working-set / communication diagnostics at [scale], with the
@@ -289,12 +202,14 @@ let run ?(criteria = Hotspot.default_criteria) ?(opts = Roofline.default_opts)
   let scale =
     match scale with Some s -> s | None -> workload.Registry.default_scale
   in
-  let p = prepare ~profile_hints:true ~seed ~workload ~scale () in
-  let built = p.pre_built in
-  let projection = Perf.project ~opts machine built in
+  let p = Prepared.create ~profile_hints:true ~seed ~workload ~scale () in
+  let built = p.Prepared.built in
+  let projection = Prepared.projection ~opts ~cache:Perf.Constant p machine in
   let libmix = workload.Registry.libmix in
   let config = Interp.default_config ~machine ~libmix ~seed () in
-  let measured = Interp.run ~config ~inputs:p.pre_inputs p.pre_program in
+  let measured =
+    Interp.run ~config ~inputs:p.Prepared.inputs p.Prepared.program
+  in
   let total_instructions = Bst.total_instructions built.Build.bst in
   let model_sel, measured_sel =
     Span.with_ ~name:"hotspot" (fun () ->
@@ -306,9 +221,9 @@ let run ?(criteria = Hotspot.default_criteria) ?(opts = Roofline.default_opts)
     workload;
     machine;
     scale;
-    program = p.pre_program;
-    inputs = p.pre_inputs;
-    hints = p.pre_hints;
+    program = p.Prepared.program;
+    inputs = p.Prepared.inputs;
+    hints = p.Prepared.hints;
     built;
     projection;
     measured;

@@ -46,111 +46,48 @@ val profile :
   Ast.program ->
   Hints.t
 
-(** The machine-independent prefix of the pipeline (workload make,
-    validation, lint, optional profiling, BET construction): build it
-    once and price it on any number of target machines. *)
-type prepared = {
-  pre_workload : Registry.t;
-  pre_scale : float;
-  pre_program : Ast.program;
-  pre_inputs : (string * Value.t) list;
-  pre_hints : Hints.t;
-  pre_built : Build.result;  (** the BET *)
-}
-
-(** Build the machine-independent artifact.  [profile_hints] runs one
-    local profiling pass and uses its hints (the {!run} path);
-    otherwise [hints] (default empty) feeds BET construction directly
-    (the {!analyze} path).
-
-    @deprecated New code should use {!Prepared.create}, which also
-    fixes the pricing engine; [prepare] remains as a wrapper
-    (equivalent to the tree engine) for existing callers. *)
-val prepare :
-  ?hints:Hints.t ->
-  ?profile_hints:bool ->
-  ?seed:int64 ->
-  workload:Registry.t ->
-  scale:float ->
-  unit ->
-  prepared
-
-(** Price a prepared BET on one target machine.  Read-only on
-    [prepared]: concurrent calls from several domains are safe, which
-    is what makes grid exploration embarrassingly parallel.
-
-    @deprecated Use {!Prepared.project}: it prices through the engine
-    chosen at {!Prepared.create} time and supports batch and delta
-    re-pricing.  This wrapper remains for source compatibility and
-    always uses the tree engine. *)
-val project_onto :
-  ?criteria:Hotspot.criteria ->
-  ?opts:Roofline.opts ->
-  ?cache:Perf.cache_model ->
-  prepared ->
-  Machine.t ->
-  analysis
-
-(** BET pricing engines.  [Tree] is the recursive walk of
-    {!Perf.project}; [Arena] flattens the BET once into a post-order
-    arena ({!Skope_bet.Arena}) and re-prices it with flat forward
-    loops and per-axis incrementality ({!Arena_price}).  Both produce
-    bit-for-bit identical blocks and totals. *)
-type engine = Tree | Arena
-
-val engine_to_string : engine -> string
-val engine_of_string : string -> engine option
-
-(** Wire names, in advertisement order: [["tree"; "arena"]]. *)
-val engine_names : string list
-
 (** The projection API: an abstract handle over the
-    machine-independent pipeline prefix plus a pricing engine.
-    Replaces the exposed {!prepare}/{!project_onto} pair. *)
+    machine-independent prefix of the pipeline (workload make,
+    validation, lint, optional profiling, BET construction and its
+    flattening into an {!Skope_bet.Arena}).  Build it once and price
+    it on any number of target machines through {!Arena_price}. *)
 module Prepared : sig
   type t
 
-  (** Result of pricing one machine point, engine-independent. *)
+  (** Result of pricing one machine point. *)
   type outcome = {
     o_machine : Machine.t;
     o_blocks : Blockstat.t list;  (** ranked by decreasing time *)
     o_total_time : float;
     o_selection : Hotspot.selection;
     o_state : Arena_price.priced option;
-        (** arena engine only: pricing state {!project_delta}
-            continues from *)
+        (** pricing state {!project_delta} continues from *)
   }
 
-  (** Build the machine-independent artifact once and fix the pricing
-      engine (default [Tree]).  For [Arena] the BET is flattened
-      eagerly, so the handle is safe to share across domains. *)
+  (** Build the machine-independent artifact once.  [profile_hints]
+      runs one local profiling pass and uses its hints (the {!run}
+      path); otherwise [hints] (default empty) feeds BET construction
+      directly (the {!analyze} path).  The arena is flattened eagerly,
+      so the handle is safe to share across domains. *)
   val create :
     ?hints:Hints.t ->
     ?profile_hints:bool ->
     ?seed:int64 ->
-    ?engine:engine ->
     workload:Registry.t ->
     scale:float ->
     unit ->
     t
 
-  (** Upgrade an existing {!type-prepared} artifact to a handle. *)
-  val of_prepared : ?engine:engine -> prepared -> t
-
-  val prepared : t -> prepared
   val built : t -> Build.result
   val workload : t -> Registry.t
   val scale : t -> float
-  val engine : t -> engine
 
   (** Drop the delta-pricing state (callers retaining many outcomes
       should store them stripped). *)
   val strip_state : outcome -> outcome
 
-  (** Repackage a tree-engine {!type-analysis}. *)
-  val of_analysis : analysis -> outcome
-
-  (** Price one machine point. *)
+  (** Price one machine point.  Read-only on the handle: concurrent
+      calls from several domains are safe. *)
   val project :
     ?criteria:Hotspot.criteria ->
     ?opts:Roofline.opts ->
@@ -159,9 +96,9 @@ module Prepared : sig
     Machine.t ->
     outcome
 
-  (** Price one machine point, re-using [prev] where the machine diff
-      permits (arena engine; the tree engine falls back to a full
-      {!project}).  Bit-for-bit identical to {!project}. *)
+  (** Price one machine point, re-pricing only the BET nodes the
+      machine diff from [prev] can reach (a stripped [prev] means a
+      full {!project}).  Bit-for-bit identical to {!project}. *)
   val project_delta :
     ?criteria:Hotspot.criteria ->
     ?opts:Roofline.opts ->
@@ -171,8 +108,8 @@ module Prepared : sig
     Machine.t ->
     outcome
 
-  (** Price a machine sweep; the arena engine delta-chains consecutive
-      points.  Equivalent to mapping {!project}. *)
+  (** Price a machine sweep, delta-chaining consecutive points.
+      Equivalent to mapping {!project}. *)
   val project_batch :
     ?criteria:Hotspot.criteria ->
     ?opts:Roofline.opts ->
@@ -183,7 +120,8 @@ module Prepared : sig
 end
 
 (** Analytic projection only — nothing executes on [machine].
-    Equivalent to {!prepare} followed by {!project_onto}. *)
+    {!Prepared.create} followed by one pricing, with the per-node
+    tables of [a_projection] filled in. *)
 val analyze :
   ?criteria:Hotspot.criteria ->
   ?opts:Roofline.opts ->

@@ -10,10 +10,10 @@
     ({!Core.Pipeline.Prepared.create}) and re-prices the shared BET
     per grid point ({!Core.Pipeline.Prepared.project}), turning
     O(points x full pipeline) into O(1 build + points x projection).
-    Under the arena engine consecutive points within a worker's chunk
-    are additionally delta-chained ({!Core.Pipeline.Prepared.project_delta}),
-    so a point differing from its neighbour on one axis re-prices only
-    the dependent BET nodes.
+    Consecutive points within a worker's chunk are additionally
+    delta-chained ({!Core.Pipeline.Prepared.project_delta}), so a point
+    differing from its neighbour on one axis re-prices only the
+    dependent BET nodes.
 
     Evaluation is embarrassingly parallel: the BET is read-only during
     pricing, so a pool of OCaml 5 domains walks the grid with chunked
@@ -121,9 +121,9 @@ let evaluate ?(jobs = 1) ?(criteria = Hotspot.default_criteria)
   let next = Atomic.make 0 in
   let failure : exn option Atomic.t = Atomic.make None in
   let out_lock = Mutex.create () in
-  (* [prev] delta-chains consecutive points of one worker's chunk
-     (arena engine; a [None] or tree-engine prev is a full pricing).
-     Chains never cross chunks, so workers share nothing mutable. *)
+  (* [prev] delta-chains consecutive points of one worker's chunk (a
+     [None] prev is a full pricing).  Chains never cross chunks, so
+     workers share nothing mutable. *)
   let eval_one ~prev i =
     (match check_deadline with Some f -> f () | None -> ());
     let pt = arr.(i) in

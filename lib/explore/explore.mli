@@ -7,9 +7,9 @@
     projection) instead of O(points x full pipeline).  Evaluation runs
     on an OCaml 5 domain pool with chunked work distribution;
     projection is read-only on the prepared artifact, so concurrent
-    pricing is safe.  Under the arena engine, consecutive points of a
-    worker's chunk are delta-chained so single-axis moves re-price
-    only dependent BET nodes. *)
+    pricing is safe.  Consecutive points of a worker's chunk are
+    delta-chained so single-axis moves re-price only dependent BET
+    nodes. *)
 
 module P = Core.Pipeline
 module Machine = Core.Hw.Machine

@@ -11,9 +11,10 @@
     + {b audit}: {!Skope_lint.Audit.run} neither raises nor reports an
       [Error] (generated comm exchanges are phased, so A007 must stay
       quiet);
-    + {b engine parity}: the tree walk ({!Skope_analysis.Perf}) and the
-      arena engine ({!Skope_analysis.Arena_price}) agree bit-for-bit
-      on total time and ranked block statistics;
+    + {b pricing parity}: arena pricing
+      ({!Skope_analysis.Arena_price}) agrees bit-for-bit with its
+      oracle, the tree walk ({!Skope_analysis.Perf}), on total time
+      and ranked block statistics;
     + {b sim bounds}: {!Skope_sim.Interp} executes the program; both
       the simulated and the projected times must be finite and
       positive, and their ratio within a (generous) factor — the

@@ -55,7 +55,7 @@ type query_parts = {
   scale : float;
   criteria : Hotspot.criteria;
   top : int;
-  engine : P.engine;
+  engine : string;
   fingerprint : string;
 }
 
@@ -65,7 +65,7 @@ let keyed p =
     fingerprint =
       Fingerprint.of_query ~workload:p.workload.Registry.name ~machine:p.machine
         ~scale:p.scale ~criteria:p.criteria ~top:p.top
-        ~engine:(P.engine_to_string p.engine);
+        ~engine:p.engine;
   }
 
 let unknown_workload name =
@@ -91,7 +91,7 @@ let query_parts (q : Protocol.query) =
                 code_leanness = q.Protocol.leanness;
               };
             top = q.Protocol.top;
-            engine = Option.value ~default:P.Tree q.Protocol.engine;
+            engine = Option.value ~default:"tree" q.Protocol.engine;
             fingerprint = "";
           })
       (Protocol.resolve_machine q)
@@ -114,11 +114,10 @@ let json_of_spot rank total (b : Blockstat.t) =
     ]
 
 (* Shared outcome renderer: analyze, sweep points and explore points
-   all serialize through here — whichever engine priced them — so a
-   cache entry written by any of them is byte-identical for the
-   others.  The engine is deliberately NOT part of a point's JSON
-   (the two engines agree bit-for-bit, and differential gates diff
-   these bytes); responses echo it at the top level instead. *)
+   all serialize through here, so a cache entry written by any of
+   them is byte-identical for the others.  The v1 engine name is not
+   part of a point's JSON; sweep and explore echo it at the top
+   level. *)
 let render_outcome p ~bet_nodes (o : P.Prepared.outcome) =
   Span.with_ ~name:"report" (fun () ->
   let total = o.P.Prepared.o_total_time in
@@ -153,19 +152,9 @@ let render_outcome p ~bet_nodes (o : P.Prepared.outcome) =
     ])
 
 let analysis_result p =
-  match p.engine with
-  | P.Tree ->
-    let a =
-      P.analyze ~criteria:p.criteria ~machine:p.machine ~workload:p.workload
-        ~scale:p.scale ()
-    in
-    render_outcome p ~bet_nodes:a.P.a_built.node_count (P.Prepared.of_analysis a)
-  | P.Arena ->
-    let prep =
-      P.Prepared.create ~engine:p.engine ~workload:p.workload ~scale:p.scale ()
-    in
-    let o = P.Prepared.project ~criteria:p.criteria prep p.machine in
-    render_outcome p ~bet_nodes:(P.Prepared.built prep).node_count o
+  let prep = P.Prepared.create ~workload:p.workload ~scale:p.scale () in
+  let o = P.Prepared.project ~criteria:p.criteria prep p.machine in
+  render_outcome p ~bet_nodes:(P.Prepared.built prep).node_count o
 
 (* --- cached projection --------------------------------------------- *)
 
@@ -195,10 +184,9 @@ let cached_analysis t p = cached t p (fun () -> analysis_result p)
 
 (* One fan-out point (sweep variant or explore grid point), through
    the cache.  Unlike [cached_analysis] a miss does NOT rerun the full
-   pipeline: it re-prices the shared prepared BET, which is the whole
-   point — and under the arena engine, consecutive misses delta-chain
-   through [prev] so a single-axis step re-prices only dependent
-   nodes. *)
+   pipeline: it re-prices the shared prepared BET, and consecutive
+   misses delta-chain through [prev] so a single-axis step re-prices
+   only dependent nodes. *)
 let cached_point t ~prepared ~prev p =
   cached t p (fun () ->
       let prep = Lazy.force prepared in
@@ -216,14 +204,12 @@ let cached_point t ~prepared ~prev p =
 let prepare p =
   lazy
     (Span.with_ ~name:"prepare" (fun () ->
-         P.Prepared.create ~engine:p.engine ~workload:p.workload ~scale:p.scale ()))
+         P.Prepared.create ~workload:p.workload ~scale:p.scale ()))
 
 (* --- request kinds ------------------------------------------------- *)
 
 let run_sweep t p axis ~check_deadline =
-  (* Arena sweeps share one prepared handle across all variants (and
-     delta-chain them); the tree engine keeps the historical
-     one-pipeline-per-variant path.  Both render identical points. *)
+  (* All variants share one prepared BET and delta-chain through it. *)
   let prepared = prepare p in
   let prev = ref None in
   let points =
@@ -236,18 +222,17 @@ let run_sweep t p axis ~check_deadline =
            let pt =
              at_machine p { variant with Machine.name = p.machine.Machine.name }
            in
-           let analysis =
-             match p.engine with
-             | P.Tree -> cached_analysis t pt
-             | P.Arena -> cached_point t ~prepared ~prev pt
-           in
-           Json.Obj [ ("tag", Json.String tag); ("analysis", analysis) ])
+           Json.Obj
+             [
+               ("tag", Json.String tag);
+               ("analysis", cached_point t ~prepared ~prev pt);
+             ])
   in
   Json.Obj
     [
       ("workload", Json.String p.workload.Registry.name);
       ("machine", Json.String p.machine.Machine.name);
-      ("engine", Json.String (P.engine_to_string p.engine));
+      ("engine", Json.String p.engine);
       ("axis", Json.String (Designspace.axis_name axis));
       ("points", Json.List points);
     ]
@@ -315,7 +300,7 @@ let run_explore t p (spec : Protocol.explore_spec) ~check_deadline =
     ([
        ("workload", Json.String p.workload.Registry.name);
        ("machine", Json.String p.machine.Machine.name);
-       ("engine", Json.String (P.engine_to_string p.engine));
+       ("engine", Json.String p.engine);
        ("axes", Json.List axes);
        ("grid", Json.Int (Designspace.grid_size spec.Protocol.e_axes));
      ]
@@ -335,7 +320,7 @@ let run_capabilities () =
       ("protocol", Json.Int Protocol.protocol_version);
       ("kinds", strings Protocol.request_kinds);
       ("axes", strings Designspace.axis_keys);
-      ("bet_engines", strings P.engine_names);
+      ("bet_engines", strings Protocol.engine_names);
       ("max_grid_points", Json.Int Protocol.max_grid_points);
       ("version", Json.String Core.Version.version);
     ]

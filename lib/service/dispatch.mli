@@ -30,7 +30,10 @@ type query_parts = {
   scale : float;
   criteria : Core.Analysis.Hotspot.criteria;
   top : int;
-  engine : Core.Pipeline.engine;
+  engine : string;
+      (** the v1 ["engine"] name, ["tree"] when absent: sweep and
+          explore replies echo it and the fingerprint folds it in, but
+          it selects nothing *)
   fingerprint : string;  (** {!Fingerprint.of_query} of the fields above *)
 }
 

@@ -1,8 +1,8 @@
 (** Content-addressed cache keys for projection queries.
 
     A fingerprint digests everything the analytic projection depends
-    on — workload name, every machine parameter, input scale, the
-    hot-spot criteria, and the pricing engine — so two requests that would compute the same
+    on — workload name, every machine parameter, input scale and the
+    hot-spot criteria — so two requests that would compute the same
     projection share one cache slot, whether they arrived as
     [analyze] queries, parameter-override queries, or server-side
     sweep fan-out. *)
@@ -11,9 +11,10 @@ open Skope_hw
 open Skope_analysis
 
 (** Canonical, human-readable key material (stable field order).
-    [engine] is the pricing engine's wire name ("tree"/"arena"): the
-    two engines agree bit-for-bit, but keeping their cache slots
-    disjoint keeps a differential check honest. *)
+    [engine] is the request's protocol-v1 engine name ("tree" or
+    "arena").  It selects nothing, but it stays in the key until
+    protocol v2 so that cache keys and router placement do not
+    move. *)
 val canonical :
   workload:string ->
   machine:Machine.t ->

@@ -9,8 +9,8 @@ type query = {
   coverage : float;
   leanness : float;
   top : int;
-  engine : Core.Pipeline.engine option;
-      (** BET pricing engine; [None] means the server default (tree) *)
+  engine : string option;
+      (** accepted v1 engine name, lower-cased; selects nothing *)
 }
 
 (** Lint either a bundled workload (by name) or an inline DSL source
@@ -255,6 +255,8 @@ let parse_audit json =
   let* a_disabled = opt_string_list json "disable" in
   Ok { a_workload; a_source; a_scale; a_machine; a_ranks; a_deny_warnings; a_disabled }
 
+let engine_names = [ "tree"; "arena" ]
+
 let parse_query json =
   let* workload = string_field json "workload" in
   let* machine = string_field json "machine" in
@@ -288,13 +290,13 @@ let parse_query json =
   let* engine =
     match Json.member "engine" json with
     | None | Some Json.Null -> Ok None
-    | Some (Json.String s) -> (
-      match Core.Pipeline.engine_of_string s with
-      | Some e -> Ok (Some e)
-      | None ->
+    | Some (Json.String s) ->
+      let name = String.lowercase_ascii s in
+      if List.mem name engine_names then Ok (Some name)
+      else
         invalid
           (Printf.sprintf "unknown engine %S (expected one of: %s)" s
-             (String.concat ", " Core.Pipeline.engine_names)))
+             (String.concat ", " engine_names))
     | Some _ -> invalid "field \"engine\" must be a string"
   in
   Ok { workload; machine; overrides; scale; coverage; leanness; top; engine }

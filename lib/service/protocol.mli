@@ -73,11 +73,13 @@ type query = {
   coverage : float;
   leanness : float;
   top : int;  (** hot spots to return *)
-  engine : Core.Pipeline.engine option;
-      (** optional ["engine"] field ("tree"/"arena"); [None] means the
-          server default (tree).  Unknown names are an
-          [Invalid_request].  Advertised via [capabilities] as
-          ["bet_engines"]. *)
+  engine : string option;
+      (** optional ["engine"] field, lower-cased: one of
+          {!engine_names} in any letter case, anything else is an
+          [Invalid_request].  It selects nothing — every projection is
+          priced by the arena — but protocol v1 keeps it: sweep and
+          explore replies echo it and the cache fingerprint folds it
+          in.  Removing it waits for protocol v2. *)
 }
 
 type lint_query = {
@@ -173,6 +175,10 @@ val protocol_version : int
     by [{"kind":"capabilities"}].  [cluster_stats] is excluded: the
     router appends it to the capabilities it proxies. *)
 val request_kinds : string list
+
+(** The ["engine"] names protocol v1 accepts, advertised by
+    [capabilities] as ["bet_engines"]: [["tree"; "arena"]]. *)
+val engine_names : string list
 
 (** Upper bound on the (possibly sampled) explore grid size. *)
 val max_grid_points : int

@@ -15,14 +15,10 @@ type query_opts = {
   coverage : float;
   leanness : float;
   overrides : (string * float) list;  (** machine-parameter overrides *)
-  engine : string option;
-      (** BET pricing engine ("tree"/"arena"); [None]: server default.
-          Servers advertise supported names via [capabilities]
-          ["bet_engines"]. *)
 }
 
-(** top 10, coverage 0.90, leanness 0.10, no scale, no overrides,
-    server-default engine — the server-side defaults. *)
+(** top 10, coverage 0.90, leanness 0.10, no scale, no overrides —
+    the server-side defaults. *)
 val default_query_opts : query_opts
 
 type request =

@@ -115,15 +115,19 @@ echo "$NDJSON" | grep -q '"tag":"bw=7.0,freq=0.8"' \
     || fail "explore ndjson missing grid point"
 echo "$NDJSON" | grep -q '"pareto"' || fail "explore ndjson missing summary"
 
-echo "smoke: arena engine matches tree byte for byte"
+echo "smoke: explore points match the expected file, on 1 and 4 domains"
 # The summary line carries wall-clock (elapsed_ms), so compare only
-# the per-point lines; -j 1 pins the emission order.
-TREE_PTS=$("$SKOPE" explore -w sord -m bgq --axis bw=7,14 --axis freq=0.8,1.6 \
-    --engine tree -j 1 --format ndjson | grep '"tag"') || fail "tree explore"
-ARENA_PTS=$("$SKOPE" explore -w sord -m bgq --axis bw=7,14 --axis freq=0.8,1.6 \
-    --engine arena -j 1 --format ndjson | grep '"tag"') || fail "arena explore"
-[ "$TREE_PTS" = "$ARENA_PTS" ] \
-    || fail "arena ndjson points differ from tree"
+# the per-point lines; -j 1 pins the emission order.  The expected
+# file holds the tree walk's points, byte for byte.
+EXPECTED_PTS=scripts/golden/explore-sord-bgq.ndjson
+PTS_J1=$("$SKOPE" explore -w sord -m bgq --axis bw=7,14 --axis freq=0.8,1.6 \
+    -j 1 --format ndjson | grep '"tag"') || fail "explore -j 1"
+[ "$PTS_J1" = "$(cat "$EXPECTED_PTS")" ] \
+    || fail "explore ndjson points differ from $EXPECTED_PTS"
+PTS_J4=$("$SKOPE" explore -w sord -m bgq --axis bw=7,14 --axis freq=0.8,1.6 \
+    -j 4 --format ndjson | grep '"tag"') || fail "explore -j 4"
+[ "$(sort <<<"$PTS_J4")" = "$(sort <<<"$PTS_J1")" ] \
+    || fail "explore -j 4 points differ from -j 1"
 
 # --- server lifecycle -------------------------------------------------
 

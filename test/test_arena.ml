@@ -1,7 +1,8 @@
-(* Tests for the arena BET engine: structural invariants of the
-   flattened arena, bit-for-bit equivalence with the tree engine
-   across the whole bundled fleet, batch and delta re-pricing, the
-   v2 cache fingerprint, and wire-level engine selection. *)
+(* Tests for arena pricing: structural invariants of the flattened
+   arena, bit-for-bit equivalence with the tree-walk oracle
+   ([Perf.project] + [Hotspot.select]) across the whole bundled fleet,
+   batch and delta re-pricing, the v2 cache fingerprint, and the v1
+   wire's inert ["engine"] field. *)
 
 module Json = Core.Report.Json
 module Service = Skope_service
@@ -13,8 +14,10 @@ module Machine = Core.Hw.Machine
 module Machines = Core.Hw.Machines
 module Registry = Core.Workloads.Registry
 module Perf = Core.Analysis.Perf
+module Arena_price = Core.Analysis.Arena_price
 module Roofline = Core.Hw.Roofline
 module Hotspot = Core.Analysis.Hotspot
+module Build = Core.Bet.Build
 
 let bgq () = Option.get (Machines.find "bgq")
 let sord () = Option.get (Registry.find "sord")
@@ -45,7 +48,7 @@ let error_of response =
       in
       (str "code", str "message"))
 
-(* Engine-equivalence checks compare the *whole* outcome structurally:
+(* Equivalence checks compare the *whole* outcome structurally:
    every Blockstat field (times, work, bound, note) and the full
    hot-spot selection, not just totals. *)
 let check_outcomes_equal label (t : P.Prepared.outcome)
@@ -61,6 +64,32 @@ let check_outcomes_equal label (t : P.Prepared.outcome)
     (label ^ ": selection identical")
     true
     (t.P.Prepared.o_selection = a.P.Prepared.o_selection)
+
+(* The oracle: the recursive tree walk, then a hot-spot selection that
+   re-sorts its input instead of trusting the producer's ranking. *)
+let oracle ?cache prepared machine =
+  let built = P.Prepared.built prepared in
+  let proj = Perf.project ?cache machine built in
+  let sel =
+    Hotspot.select
+      ~total_instructions:(Core.Bet.Bst.total_instructions built.Build.bst)
+      proj.Perf.blocks
+  in
+  (proj, sel)
+
+let check_against_oracle label ((proj : Perf.projection), sel)
+    (a : P.Prepared.outcome) =
+  Alcotest.(check (float 0.))
+    (label ^ ": total time")
+    proj.Perf.total_time a.P.Prepared.o_total_time;
+  Alcotest.(check bool)
+    (label ^ ": blocks bit-identical")
+    true
+    (proj.Perf.blocks = a.P.Prepared.o_blocks);
+  Alcotest.(check bool)
+    (label ^ ": selection identical")
+    true
+    (sel = a.P.Prepared.o_selection)
 
 (* --- arena structure ----------------------------------------------- *)
 
@@ -104,39 +133,97 @@ let test_dep_masks () =
   Alcotest.(check bool) "loads -> geom" true (d land Arena.dep_geom <> 0);
   Alcotest.(check bool) "pure loads not div" true (d land Arena.dep_div = 0)
 
-(* --- engine equivalence -------------------------------------------- *)
+(* --- equivalence with the oracle ----------------------------------- *)
+
+let cache_name = function
+  | Perf.Constant -> "constant"
+  | Perf.Footprint -> "footprint"
 
 (* The acceptance bar: every bundled workload, on every bundled
    machine, under both cache models, prices bit-for-bit identically
-   through the two engines. *)
+   to the tree walk. *)
 let test_fleet_identical () =
   List.iter
     (fun (w : Registry.t) ->
-      let scale = w.Registry.default_scale in
-      let tree = P.Prepared.create ~workload:w ~scale () in
-      let arena = P.Prepared.create ~engine:P.Arena ~workload:w ~scale () in
+      let prepared =
+        P.Prepared.create ~workload:w ~scale:w.Registry.default_scale ()
+      in
       List.iter
         (fun (m : Machine.t) ->
           List.iter
             (fun cache ->
               let label =
                 Fmt.str "%s on %s (%s)" w.Registry.name m.Machine.name
-                  (match cache with
-                  | Perf.Constant -> "constant"
-                  | Perf.Footprint -> "footprint")
+                  (cache_name cache)
               in
-              let t = P.Prepared.project ~cache tree m in
-              let a = P.Prepared.project ~cache arena m in
-              check_outcomes_equal label t a)
+              check_against_oracle label
+                (oracle ~cache prepared m)
+                (P.Prepared.project ~cache prepared m))
             [ Perf.Constant; Perf.Footprint ])
         Machines.all)
     Registry.all
 
+(* Hot-path annotation reads per-node time and ENR: the arena's tables
+   must equal the tree walk's bit for bit, after a full pricing and
+   after a delta pricing from the previous machine alike. *)
+let test_node_tables () =
+  let same_table label (want : (int, float) Hashtbl.t) got =
+    Alcotest.(check int) (label ^ ": size") (Hashtbl.length want)
+      (Hashtbl.length got);
+    Hashtbl.iter
+      (fun id v ->
+        match Hashtbl.find_opt got id with
+        | Some g when Int64.bits_of_float g = Int64.bits_of_float v -> ()
+        | Some g -> Alcotest.failf "%s: node %d: %h, oracle %h" label id g v
+        | None -> Alcotest.failf "%s: node %d missing" label id)
+      want
+  in
+  let checked = ref 0 in
+  List.iter
+    (fun (w : Registry.t) ->
+      let prepared =
+        P.Prepared.create ~workload:w ~scale:w.Registry.default_scale ()
+      in
+      let built = P.Prepared.built prepared in
+      let arena = Arena.of_build built in
+      List.iter
+        (fun cache ->
+          let prev = ref None in
+          List.iter
+            (fun (m : Machine.t) ->
+              let want = Perf.project ~cache m built in
+              let full = Arena_price.price ~cache arena m in
+              let priced =
+                [ ("full", full) ]
+                @
+                match !prev with
+                | Some p ->
+                  [ ("delta", Arena_price.price_delta ~cache ~prev:p arena m) ]
+                | None -> []
+              in
+              List.iter
+                (fun (how, p) ->
+                  let label =
+                    Fmt.str "%s on %s (%s, %s)" w.Registry.name m.Machine.name
+                      (cache_name cache) how
+                  in
+                  let got = Arena_price.projection arena p in
+                  same_table (label ^ " node_time") want.Perf.node_time
+                    got.Perf.node_time;
+                  same_table (label ^ " node_enr") want.Perf.node_enr
+                    got.Perf.node_enr;
+                  checked := !checked + Hashtbl.length want.Perf.node_time)
+                priced;
+              prev := Some full)
+            Machines.all)
+        [ Perf.Constant; Perf.Footprint ])
+    Registry.all;
+  Alcotest.(check bool) "some nodes compared" true (!checked > 0)
+
 let test_batch_matches_mapped () =
   let w = sord () in
   let arena =
-    P.Prepared.create ~engine:P.Arena ~workload:w
-      ~scale:w.Registry.default_scale ()
+    P.Prepared.create ~workload:w ~scale:w.Registry.default_scale ()
   in
   let axes =
     [
@@ -160,13 +247,13 @@ let test_batch_matches_mapped () =
     machines
 
 (* A randomized single-axis walk: the delta path must agree with a
-   full re-price (and with the tree engine) at every step, whatever
-   axis moved last. *)
+   full re-price (and with the oracle) at every step, whatever axis
+   moved last. *)
 let test_delta_matches_full () =
   let w = sord () in
-  let scale = w.Registry.default_scale in
-  let tree = P.Prepared.create ~workload:w ~scale () in
-  let arena = P.Prepared.create ~engine:P.Arena ~workload:w ~scale () in
+  let arena =
+    P.Prepared.create ~workload:w ~scale:w.Registry.default_scale ()
+  in
   let rng = Random.State.make [| 42 |] in
   let step (m : Machine.t) =
     let pick l = List.nth l (Random.State.int rng (List.length l)) in
@@ -186,16 +273,15 @@ let test_delta_matches_full () =
     let full = P.Prepared.project arena !m in
     let delta = P.Prepared.project_delta ~prev:!prev arena !m in
     check_outcomes_equal (Fmt.str "walk step %d (full vs delta)" i) full delta;
-    check_outcomes_equal
-      (Fmt.str "walk step %d (tree vs delta)" i)
-      (P.Prepared.project tree !m)
-      delta;
+    check_against_oracle
+      (Fmt.str "walk step %d (oracle vs delta)" i)
+      (oracle arena !m) delta;
     prev := delta
   done
 
-(* The 4^5 = 1024-point grid, priced by the arena engine on a 4-domain
-   pool with per-chunk delta chains, must reproduce the sequential
-   tree walk exactly. *)
+(* The 4^5 = 1024-point grid, priced on a 4-domain pool with per-chunk
+   delta chains, must reproduce the tree walk exactly on every point,
+   Pareto frontier included. *)
 let test_grid_pool_equivalence () =
   let w = sord () in
   let scale = 0.1 in
@@ -210,24 +296,34 @@ let test_grid_pool_equivalence () =
   in
   let pts = Explore.grid_points (bgq ()) axes in
   Alcotest.(check int) "1024 points" 1024 (List.length pts);
-  let tree = P.Prepared.create ~workload:w ~scale () in
-  let arena = P.Prepared.create ~engine:P.Arena ~workload:w ~scale () in
-  let rt = Explore.evaluate ~jobs:1 tree pts in
-  let ra = Explore.evaluate ~jobs:4 arena pts in
+  let prepared = P.Prepared.create ~workload:w ~scale () in
+  let built = P.Prepared.built prepared in
+  let ra = Explore.evaluate ~jobs:4 prepared pts in
+  let want =
+    List.map
+      (fun (pt : Designspace.point) ->
+        let m = pt.Designspace.p_machine in
+        (pt.Designspace.p_tag, Perf.project m built, Explore.cost_proxy m))
+      pts
+  in
   List.iter2
-    (fun (a : Explore.point) (b : Explore.point) ->
-      Alcotest.(check string) "grid order" a.Explore.tag b.Explore.tag;
-      Alcotest.(check (float 0.))
-        (a.Explore.tag ^ " time") a.Explore.time b.Explore.time;
+    (fun (tag, (t : Perf.projection), _) (b : Explore.point) ->
+      Alcotest.(check string) "grid order" tag b.Explore.tag;
+      Alcotest.(check (float 0.)) (tag ^ " time") t.Perf.total_time
+        b.Explore.time;
       Alcotest.(check bool)
-        (a.Explore.tag ^ " blocks")
+        (tag ^ " blocks")
         true
-        (a.Explore.outcome.P.Prepared.o_blocks
-        = b.Explore.outcome.P.Prepared.o_blocks))
-    rt.Explore.points ra.Explore.points;
+        (t.Perf.blocks = b.Explore.outcome.P.Prepared.o_blocks))
+    want ra.Explore.points;
   Alcotest.(check (list string))
     "same pareto"
-    (List.map (fun (p : Explore.point) -> p.Explore.tag) rt.Explore.pareto)
+    (List.map
+       (fun (tag, _, _) -> tag)
+       (Explore.pareto_by
+          ~metrics:(fun (_, (t : Perf.projection), cost) ->
+            (t.Perf.total_time, cost))
+          want))
     (List.map (fun (p : Explore.point) -> p.Explore.tag) ra.Explore.pareto)
 
 (* --- fingerprint coverage ------------------------------------------ *)
@@ -309,16 +405,25 @@ let test_fingerprint_covers_schema () =
     (List.length variants)
     (List.length (List.sort_uniq compare digests))
 
-(* --- wire-level engine selection ----------------------------------- *)
+(* --- the v1 wire's inert engine field ------------------------------ *)
+
+(* Request bodies with an optional v1 ["engine"] field. *)
+let with_engine = function
+  | None -> ""
+  | Some e -> Printf.sprintf {|,"engine":%S|} e
 
 let explore_body engine =
-  match engine with
-  | None ->
-    {|{"kind":"explore","workload":"sord","machine":"bgq","axes":[{"axis":"bw","values":[7,14]},{"axis":"freq","values":[0.8,1.6]}]}|}
-  | Some e ->
-    Printf.sprintf
-      {|{"kind":"explore","workload":"sord","machine":"bgq","axes":[{"axis":"bw","values":[7,14]},{"axis":"freq","values":[0.8,1.6]}],"engine":%S}|}
-      e
+  Printf.sprintf
+    {|{"kind":"explore","workload":"sord","machine":"bgq","axes":[{"axis":"bw","values":[7,14]},{"axis":"freq","values":[0.8,1.6]}]%s}|}
+    (with_engine engine)
+
+let sweep_body engine =
+  Printf.sprintf
+    {|{"kind":"sweep","workload":"sord","machine":"bgq","axis":"bw","values":[7,14,28]%s}|}
+    (with_engine engine)
+
+(* The two kinds that echo the name. *)
+let echoing_kinds = [ ("sweep", sweep_body); ("explore", explore_body) ]
 
 let points_of result =
   match Json.member "points" result with
@@ -328,29 +433,19 @@ let points_of result =
 let test_engine_parse () =
   (match Service.Protocol.parse_request (explore_body (Some "arena")) with
   | Ok (Service.Protocol.Explore (q, _), _) ->
-    Alcotest.(check bool) "engine parsed" true
-      (q.Service.Protocol.engine = Some P.Arena)
+    Alcotest.(check (option string)) "engine parsed" (Some "arena")
+      q.Service.Protocol.engine
   | _ -> Alcotest.fail "explore with engine did not parse");
-  (match Service.Protocol.parse_request (explore_body None) with
+  (match Service.Protocol.parse_request (explore_body (Some "Tree")) with
   | Ok (Service.Protocol.Explore (q, _), _) ->
-    Alcotest.(check bool) "engine defaults to None" true
-      (q.Service.Protocol.engine = None)
-  | _ -> Alcotest.fail "explore without engine did not parse");
-  (* typed builder round trip *)
-  let module A = Service.Service_api in
-  match
-    Service.Protocol.parse_request
-      (A.to_body
-         (A.explore
-            ~opts:{ A.default_query_opts with A.engine = Some "arena" }
-            ~workload:"sord" ~machine:"bgq"
-            ~axes:[ ("bw", [ 7.; 14. ]) ]
-            ()))
-  with
+    Alcotest.(check (option string)) "engine lower-cased" (Some "tree")
+      q.Service.Protocol.engine
+  | _ -> Alcotest.fail "explore with mixed-case engine did not parse");
+  match Service.Protocol.parse_request (explore_body None) with
   | Ok (Service.Protocol.Explore (q, _), _) ->
-    Alcotest.(check bool) "builder carries engine" true
-      (q.Service.Protocol.engine = Some P.Arena)
-  | _ -> Alcotest.fail "service_api engine did not round trip"
+    Alcotest.(check (option string)) "engine defaults to None" None
+      q.Service.Protocol.engine
+  | _ -> Alcotest.fail "explore without engine did not parse"
 
 let contains s sub =
   let n = String.length sub in
@@ -363,32 +458,44 @@ let test_engine_rejected () =
   let code, msg = error_of (handle (explore_body (Some "warp"))) in
   Alcotest.(check string) "unknown engine" "invalid_request" code;
   Alcotest.(check bool) ("names the engine: " ^ msg) true
-    (contains msg "warp" && contains msg "arena")
+    (contains msg "warp" && contains msg "tree" && contains msg "arena")
 
+(* Accepted names come back lower-cased; an absent one as "tree". *)
 let test_engine_echoed () =
-  let result = result_of (handle (explore_body (Some "arena"))) in
-  Alcotest.(check bool) "explore echoes engine" true
-    (Json.member "engine" result = Some (Json.String "arena"));
-  let default = result_of (handle (explore_body None)) in
-  Alcotest.(check bool) "default engine is tree" true
-    (Json.member "engine" default = Some (Json.String "tree"));
-  let sweep =
-    result_of
-      (handle
-         {|{"kind":"sweep","workload":"sord","machine":"bgq","axis":"bw","values":[7,14],"engine":"arena"}|})
-  in
-  Alcotest.(check bool) "sweep echoes engine" true
-    (Json.member "engine" sweep = Some (Json.String "arena"))
+  List.iter
+    (fun (kind, body) ->
+      List.iter
+        (fun (engine, want) ->
+          let result = result_of (handle (body engine)) in
+          Alcotest.(check bool)
+            (Fmt.str "%s echoes %s" kind want)
+            true
+            (Json.member "engine" result = Some (Json.String want)))
+        [
+          (None, "tree");
+          (Some "tree", "tree");
+          (Some "arena", "arena");
+          (Some "ARENA", "arena");
+        ])
+    echoing_kinds
 
+(* The name selects nothing: every accepted spelling, or none, prices
+   byte-identical points.  [handle] makes a fresh dispatcher per call,
+   so no reply is a cache hit. *)
 let test_engine_wire_identity () =
-  (* Tree and arena responses differ only in the echoed engine: the
-     point lists are byte-identical. *)
-  let pts engine =
-    List.map Json.to_string
-      (points_of (result_of (handle (explore_body (Some engine)))))
-  in
-  Alcotest.(check (list string)) "points byte-identical" (pts "tree")
-    (pts "arena")
+  List.iter
+    (fun (kind, body) ->
+      let pts engine =
+        List.map Json.to_string (points_of (result_of (handle (body engine))))
+      in
+      let want = pts None in
+      List.iter
+        (fun engine ->
+          Alcotest.(check (list string))
+            (kind ^ " points byte-identical")
+            want (pts engine))
+        [ Some "tree"; Some "arena"; Some "ARENA" ])
+    echoing_kinds
 
 let test_capabilities_engines () =
   let result = result_of (handle {|{"kind":"capabilities"}|}) in
@@ -410,6 +517,8 @@ let suite =
     ( "arena.equivalence",
       [
         Alcotest.test_case "fleet bit-for-bit" `Quick test_fleet_identical;
+        Alcotest.test_case "node time and ENR match the oracle" `Quick
+          test_node_tables;
         Alcotest.test_case "batch matches mapped project" `Quick
           test_batch_matches_mapped;
         Alcotest.test_case "delta matches full on a random walk" `Quick

@@ -336,6 +336,46 @@ let test_sweep_cache () =
   Alcotest.(check int) "re-sweep adds no misses" 3
     v2.Service.Metrics.cache_misses
 
+(* A sweep shares one prepared BET across its points: on a fresh
+   dispatcher (every point a miss) eight bw variants build one BET's
+   worth of nodes, not eight. *)
+let test_sweep_builds_one_bet () =
+  let dispatch = Service.Dispatch.create () in
+  let built () =
+    Option.value ~default:0.
+      (List.assoc_opt "bet_nodes_built" (Core.Telemetry.Span.counters ()))
+  in
+  let before = built () in
+  let r =
+    handle ~dispatch
+      {|{"kind":"sweep","workload":"sord","machine":"bgq","axis":"bw","values":[1,2,4,7,14,28,56,112]}|}
+  in
+  let added = built () -. before in
+  let points =
+    match Json.of_string r with
+    | Ok j -> (
+      match Json.member "result" j with
+      | Some res -> (
+        match Json.member "points" res with
+        | Some (Json.List ps) -> ps
+        | _ -> Alcotest.failf "sweep reply has no points: %s" r)
+      | None -> Alcotest.failf "sweep failed: %s" r)
+    | Error e -> Alcotest.failf "reply is not JSON (%s)" e
+  in
+  Alcotest.(check int) "eight points" 8 (List.length points);
+  Alcotest.(check int) "every point a miss" 8
+    (view dispatch).Service.Metrics.cache_misses;
+  let bet_nodes =
+    match
+      Option.bind
+        (Json.member "analysis" (List.hd points))
+        (Json.member "bet_nodes")
+    with
+    | Some (Json.Int n) -> n
+    | _ -> Alcotest.failf "point has no bet_nodes: %s" r
+  in
+  Alcotest.(check (float 0.)) "one BET built" (float_of_int bet_nodes) added
+
 let test_override_shares_sweep_slot () =
   (* A sweep point and an equivalent parameter-override analyze have
      the same fingerprint, so the second is served from the first's
@@ -1057,6 +1097,8 @@ let suite =
       [
         Alcotest.test_case "analyze hits" `Quick test_analyze_cache_hit;
         Alcotest.test_case "sweep fully served" `Quick test_sweep_cache;
+        Alcotest.test_case "sweep builds one BET" `Quick
+          test_sweep_builds_one_bet;
         Alcotest.test_case "override shares slot" `Quick
           test_override_shares_sweep_slot;
         Alcotest.test_case "distinct queries distinct" `Quick
