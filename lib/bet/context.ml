@@ -5,19 +5,21 @@
     small set of contexts through each block; data-dependent branches
     split mass, [let] bindings under different outcomes make contexts
     diverge, and value-identical contexts are re-merged to keep the set
-    small. *)
+    small.  Each context also carries a companion environment of the
+    builder's domain ([unit] for the plain BET, closed forms for the
+    audit's symbolic model). *)
 
 module Smap = Eval.Smap
 
-type t = { env : Eval.env; mass : float }
+type 'c t = { env : Eval.env; cenv : 'c; mass : float }
 
-let make ?(mass = 1.0) bindings = { env = Eval.env_of_list bindings; mass }
+let make ?(mass = 1.0) bindings cenv = { env = Eval.env_of_list bindings; cenv; mass }
 
 let mass_of cs = List.fold_left (fun acc c -> acc +. c.mass) 0. cs
 
-let bind c name v = { c with env = Smap.add name v c.env }
+let bind c name v cenv = { c with env = Smap.add name v c.env; cenv }
 
-let unbind c name = { c with env = Smap.remove name c.env }
+let unbind c name cenv = { c with env = Smap.remove name c.env; cenv }
 
 let scale c f = { c with mass = c.mass *. f }
 
@@ -35,12 +37,14 @@ let pp ppf c =
     mass, and enforce the [cap]: when more than [cap] distinct contexts
     remain, the lightest ones are folded into the heaviest context.
     Total mass is preserved up to the negligible-mass cutoff.  Returns
-    contexts sorted by decreasing mass. *)
-let normalize ?(cap = 64) (cs : t list) : t list =
+    contexts sorted by decreasing mass.  A merged context keeps the
+    companion environment of the first one: value-identical contexts
+    have companions that agree at the reference inputs. *)
+let normalize ?(cap = 64) (cs : 'c t list) : 'c t list =
   let cs = List.filter (fun c -> c.mass > 1e-12) cs in
   (* Group by environment equality.  Context lists are tiny (<= cap),
      so the quadratic grouping is fine. *)
-  let groups : t list ref = ref [] in
+  let groups : 'c t list ref = ref [] in
   List.iter
     (fun c ->
       let rec insert = function
@@ -75,7 +79,7 @@ let normalize ?(cap = 64) (cs : t list) : t list =
 
 (** Expected (mass-weighted mean) value of [e] over live contexts,
     normalized by their total mass; [default] when nothing evaluates. *)
-let expect ?(default = 0.) (cs : t list) e =
+let expect ?(default = 0.) (cs : _ t list) e =
   let total, weighted =
     List.fold_left
       (fun (t, w) c ->
@@ -85,7 +89,7 @@ let expect ?(default = 0.) (cs : t list) e =
   if total <= 0. then default else weighted /. total
 
 (** Mass-weighted mean probability of [e] over live contexts. *)
-let expect_prob ?(default = 0.5) cs e =
+let expect_prob ?(default = 0.5) (cs : _ t list) e =
   let total, weighted =
     List.fold_left
       (fun (t, w) c ->

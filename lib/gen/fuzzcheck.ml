@@ -110,10 +110,20 @@ let check_lint ~case ~repro () =
 
 let check_audit ~case ~repro () =
   let r = Skope_lint.Audit.run ~inputs:case.Gen.inputs case.Gen.program in
-  match errors_of r.Skope_lint.Audit.diags with
-  | [] -> []
-  | e :: _ ->
-    [ fail ~case ~repro Audit "audit error %s: %s" e.D.code e.D.message ]
+  let error_fail =
+    match errors_of r.Skope_lint.Audit.diags with
+    | [] -> []
+    | e :: _ ->
+      [ fail ~case ~repro Audit "audit error %s: %s" e.D.code e.D.message ]
+  in
+  let sym = r.Skope_lint.Audit.sym in
+  let fallback_fail =
+    if sym.Skope_lint.Symbolic.fallbacks = 0 then []
+    else
+      [ fail ~case ~repro Audit "%d of %d closed forms fell back to literals"
+          sym.Skope_lint.Symbolic.fallbacks sym.Skope_lint.Symbolic.checked ]
+  in
+  error_fail @ fallback_fail
 
 let machine = Skope_hw.Machines.bgq
 let lib_work = Skope_hw.Libmix.work_fn Skope_hw.Libmix.default
@@ -121,8 +131,8 @@ let lib_work = Skope_hw.Libmix.work_fn Skope_hw.Libmix.default
 let build_case case =
   Skope_bet.Build.build ~lib_work ~inputs:case.Gen.inputs case.Gen.program
 
-let check_parity ~case ~repro () =
-  let built = build_case case in
+let check_parity ~built ~case ~repro () =
+  let built = Lazy.force built in
   let warn_fail =
     match built.Skope_bet.Build.warnings with
     | [] -> []
@@ -147,8 +157,8 @@ let check_parity ~case ~repro () =
   in
   warn_fail @ time_fail @ blocks_fail
 
-let check_sim ~sim_bound ~case ~repro () =
-  let built = build_case case in
+let check_sim ~built ~sim_bound ~case ~repro () =
+  let built = Lazy.force built in
   let projected = Skope_analysis.Perf.project machine built in
   let t_model = projected.Skope_analysis.Perf.total_time in
   let config =
@@ -170,13 +180,16 @@ let check_sim ~sim_bound ~case ~repro () =
     else []
 
 let check_case ?(sim_bound = 1e4) ~repro case =
+  (* One BET per case, forced inside each gate that prices it: a build
+     that raises re-raises on every force, so each gate reports it. *)
+  let built = lazy (build_case case) in
   List.concat
     [
       guard ~case ~repro Roundtrip (check_roundtrip ~case ~repro);
       guard ~case ~repro Lint (check_lint ~case ~repro);
       guard ~case ~repro Audit (check_audit ~case ~repro);
-      guard ~case ~repro Parity (check_parity ~case ~repro);
-      guard ~case ~repro Sim (check_sim ~sim_bound ~case ~repro);
+      guard ~case ~repro Parity (check_parity ~built ~case ~repro);
+      guard ~case ~repro Sim (check_sim ~built ~sim_bound ~case ~repro);
     ]
 
 let run ?(config = Gen.default) ?archetype ?(jobs = 1) ?(sim_bound = 1e4) ~seed

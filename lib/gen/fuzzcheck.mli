@@ -10,7 +10,8 @@
       programs);
     + {b audit}: {!Skope_lint.Audit.run} neither raises nor reports an
       [Error] (generated comm exchanges are phased, so A007 must stay
-      quiet);
+      quiet), and every closed form of its symbolic model reconciles at
+      the case's inputs ([fallbacks = 0]);
     + {b pricing parity}: arena pricing
       ({!Skope_analysis.Arena_price}) agrees bit-for-bit with its
       oracle, the tree walk ({!Skope_analysis.Perf}), on total time
@@ -21,8 +22,10 @@
       analytic model and the simulator may disagree on constants but
       never catastrophically.
 
-    A failing case carries a one-line reproducer command that
-    regenerates and re-checks exactly that case. *)
+    The parity and sim gates price one shared BET build of the case; a
+    build that raises fails both.  A failing case carries a one-line
+    reproducer command that regenerates and re-checks exactly that
+    case. *)
 
 type gate = Roundtrip | Lint | Audit | Parity | Sim
 

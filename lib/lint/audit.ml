@@ -2,9 +2,10 @@
     diagnostics (rules A001..A008) over the symbolic cost model.
 
     Where lint (L-rules) reasons over concrete intervals at one scale,
-    audit reasons over {e closed forms}: [Symbolic.derive] gives every
-    block a trip/work expression in the workload's input parameters,
-    and the rules probe those expressions along parameter sweeps —
+    audit reasons over {e closed forms}: [Symbolic.derive] builds the
+    BET over a closed-form domain, so every block carries a trip/work
+    expression in the workload's input parameters, and the rules probe
+    those expressions along parameter sweeps —
     work that refuses to shrink with the rank count (Amdahl),
     communication outgrowing computation, Kerncraft-style layer
     conditions for L1/L2 working-set fits and the scale at which a
@@ -855,6 +856,7 @@ let result_json ~target ?scale ~deny_warnings (config : config) (report : report
               ("nodes", Json.Int (S.node_count report.sym.S.sroot));
               ("checked", Json.Int report.sym.S.checked);
               ("fallbacks", Json.Int report.sym.S.fallbacks);
-              ("shape_mismatches", Json.Int report.sym.S.shape_mismatches);
+              (* v1 field: the symbolic tree is the BET by construction *)
+              ("shape_mismatches", Json.Int 0);
             ] );
       ])

@@ -1,14 +1,13 @@
 (** Symbolic cost model over skeleton ASTs (the core of `skope audit`).
 
-    [derive] walks the program exactly like [Bet.Build.build] does —
-    same context threading, same mass arithmetic, in the same order —
-    but alongside every concrete quantity it carries a reified
-    [Ast.expr] over the workload's input parameters (n, p, ...).  The
-    result is a tree shaped like the BET whose per-node trip counts and
-    work vectors are closed-form expressions: evaluating them with
-    [Bet.Eval] at the reference inputs reproduces the BET's concrete
-    counts bit for bit, and evaluating them at other bindings predicts
-    how each block scales.
+    [derive] runs the BET builder ([Bet.Build.Make]) over a closed-form
+    domain: next to every concrete quantity the builder computes, the
+    domain carries a reified [Ast.expr] over the workload's input
+    parameters (n, p, ...).  The result is the BET whose per-node trip
+    counts and work vectors are closed-form expressions: evaluating them
+    with [Bet.Eval] at the reference inputs reproduces the BET's
+    concrete counts bit for bit, and evaluating them at other bindings
+    predicts how each block scales.
 
     Two approximations are inherent and documented here once:
 
@@ -16,19 +15,19 @@
       probabilities are embedded as float literals taken from the
       reference scale, so a branch decided differently at another scale
       is not re-decided symbolically;
-    - {e reconciliation}: every derived expression is checked by
-      evaluating it at the reference inputs against the concrete
-      mirror, and again against an independently built BET.  Any
-      divergence (non-evaluable substitution, float-path corner,
-      oversized expression) demotes that expression to a literal of the
-      concrete value and bumps [fallbacks] — so soundness of the
-      evaluated-at-reference counts is unconditional, and [fallbacks]
-      measures how much genuine symbolic structure survived. *)
+    - {e reconciliation}: each expression is checked as it is formed,
+      by evaluating it at the reference inputs against the concrete
+      value it accompanies.  Any divergence (non-evaluable
+      substitution, float-path corner, oversized expression) demotes
+      that expression to a literal of the concrete value and bumps
+      [fallbacks] — so soundness of the evaluated-at-reference counts
+      is unconditional, and [fallbacks] measures how much genuine
+      symbolic structure survived. *)
 
 open Skope_skeleton
 module Value = Skope_bet.Value
 module Eval = Skope_bet.Eval
-module Hints = Skope_bet.Hints
+module Context = Skope_bet.Context
 module Work = Skope_bet.Work
 module Bnode = Skope_bet.Node
 module Block_id = Skope_bet.Block_id
@@ -125,86 +124,6 @@ let subst (senv : Ast.expr Smap.t) (e : Ast.expr) : Ast.expr option =
   in
   match go e with x -> Some x | exception Cut -> None
 
-(* --- contexts: (concrete env, symbolic env, mass) -------------------- *)
-
-type sctx = { env : Eval.env; senv : Ast.expr Smap.t; mass : float }
-
-let mass_of cs = List.fold_left (fun acc (c : sctx) -> acc +. c.mass) 0. cs
-let cscale c f = { c with mass = c.mass *. f }
-let env_equal (a : Eval.env) b = Smap.equal Value.equal a b
-
-(* Mirrors [Bet.Context.normalize] so masses stay bit-identical.  When
-   two contexts merge, the first one's symbolic environment is kept:
-   both evaluate to the same concrete values at the reference inputs,
-   so the per-context invariant survives the merge. *)
-let normalize ?(cap = 64) (cs : sctx list) : sctx list =
-  let cs = List.filter (fun c -> c.mass > 1e-12) cs in
-  let groups : sctx list ref = ref [] in
-  List.iter
-    (fun c ->
-      let rec insert = function
-        | [] -> [ c ]
-        | g :: rest when env_equal g.env c.env ->
-          { g with mass = g.mass +. c.mass } :: rest
-        | g :: rest -> g :: insert rest
-      in
-      groups := insert !groups)
-    cs;
-  let sorted = List.sort (fun a b -> Float.compare b.mass a.mass) !groups in
-  if List.length sorted <= cap then sorted
-  else
-    match sorted with
-    | [] -> []
-    | heaviest :: _ ->
-      let kept = List.filteri (fun i _ -> i < cap) sorted in
-      let dropped =
-        List.fold_left
-          (fun acc (c : sctx) -> acc +. c.mass)
-          0.
-          (List.filteri (fun i _ -> i >= cap) sorted)
-      in
-      List.map
-        (fun c ->
-          if env_equal c.env heaviest.env then { c with mass = c.mass +. dropped }
-          else c)
-        kept
-
-(* = Context.expect / expect_prob over sctx. *)
-let expect_conc ?(default = 0.) cs e =
-  let total, weighted =
-    List.fold_left
-      (fun (t, w) (c : sctx) ->
-        (t +. c.mass, w +. (c.mass *. Eval.eval_float ~default c.env e)))
-      (0., 0.) cs
-  in
-  if total <= 0. then default else weighted /. total
-
-let expect_prob ?(default = 0.5) cs e =
-  let total, weighted =
-    List.fold_left
-      (fun (t, w) (c : sctx) ->
-        (t +. c.mass, w +. (c.mass *. Eval.eval_prob ~default c.env e)))
-      (0., 0.) cs
-  in
-  if total <= 0. then default else weighted /. total
-
-let expect_sym ~default cs e =
-  let total = mass_of cs in
-  if total <= 0. then cf default
-  else
-    let sum =
-      List.fold_left
-        (fun acc (c : sctx) ->
-          let term =
-            match (Eval.eval c.env e, subst c.senv e) with
-            | Some _, Some se -> se
-            | _ -> cf default
-          in
-          add acc (mul (cf c.mass) term))
-        (cf 0.) cs
-    in
-    div sum (cf total)
-
 (* --- symbolic work vectors ------------------------------------------- *)
 
 type swork = {
@@ -219,18 +138,26 @@ type swork = {
   s_sbytes : Ast.expr;
 }
 
-let swork_zero =
+(* [f] over every field of a concrete work vector. *)
+let swork_map f (w : Work.t) =
   {
-    s_flops = cf 0.;
-    s_iops = cf 0.;
-    s_divs = cf 0.;
-    s_vec_flops = cf 0.;
-    s_vec_issue = cf 0.;
-    s_loads = cf 0.;
-    s_stores = cf 0.;
-    s_lbytes = cf 0.;
-    s_sbytes = cf 0.;
+    s_flops = f w.Work.flops;
+    s_iops = f w.Work.iops;
+    s_divs = f w.Work.divs;
+    s_vec_flops = f w.Work.vec_flops;
+    s_vec_issue = f w.Work.vec_issue;
+    s_loads = f w.Work.loads;
+    s_stores = f w.Work.stores;
+    s_lbytes = f w.Work.lbytes;
+    s_sbytes = f w.Work.sbytes;
   }
+
+(* A work vector fixed by control flow, as literals. *)
+let swork_lit = swork_map cf
+let swork_zero = swork_lit Work.zero
+
+(* As Work.scale: k *. field. *)
+let swork_of_lib scale_s = swork_map (fun x -> mul scale_s (cf x))
 
 let swork_add a b =
   {
@@ -256,24 +183,6 @@ let swork_of_comp ~flops ~iops ~divs ~vec =
     s_vec_issue = (if vec > 1 then div flops (cf (float_of_int vec)) else cf 0.);
   }
 
-let swork_of_mem ~loads ~stores ~lbytes ~sbytes =
-  { swork_zero with s_loads = loads; s_stores = stores; s_lbytes = lbytes; s_sbytes = sbytes }
-
-(* Mirrors Work.scale: k *. field. *)
-let swork_of_lib scale_s (w : Work.t) =
-  let f x = mul scale_s (cf x) in
-  {
-    s_flops = f w.Work.flops;
-    s_iops = f w.Work.iops;
-    s_divs = f w.Work.divs;
-    s_vec_flops = f w.Work.vec_flops;
-    s_vec_issue = f w.Work.vec_issue;
-    s_loads = f w.Work.loads;
-    s_stores = f w.Work.stores;
-    s_lbytes = f w.Work.lbytes;
-    s_sbytes = f w.Work.sbytes;
-  }
-
 (* --- the symbolic tree ----------------------------------------------- *)
 
 type node = {
@@ -295,38 +204,17 @@ type node = {
 
 type result = {
   sroot : node;
-  bet : Skope_bet.Build.result;
-      (** the independently built BET the tree was reconciled against *)
   checked : int;  (** expressions verified at the reference inputs *)
   fallbacks : int;  (** expressions demoted to concrete literals *)
-  shape_mismatches : int;  (** subtrees where the mirror diverged *)
 }
 
-type state = {
-  program : Ast.program;
-  hints : Hints.t;
-  lib_work : string -> Work.t option;
-  cap : int;
-  root_env : Eval.env;
-  mutable next_id : int;
-  global_bindings : (string * Value.t) list;
-  global_sbindings : (string * Ast.expr) list;
-  global_abytes : int Smap.t;
-  mutable checked : int;
-  mutable fallbacks : int;
-}
+(* --- reconciliation ----------------------------------------------------- *)
 
-let fresh st =
-  let id = st.next_id in
-  st.next_id <- id + 1;
-  id
+(* The bookkeeping of one derivation: the reference inputs every
+   expression is checked at, and the two counters. *)
+type tally = { root_env : Eval.env; mutable checked : int; mutable fallbacks : int }
 
-let abytes_of st (arrays : Ast.array_decl list) =
-  List.fold_left
-    (fun m (a : Ast.array_decl) -> Smap.add a.Ast.aname a.Ast.elem_bytes m)
-    st.global_abytes arrays
-
-(* Representation-strict equality: [Value.equal] calls I 2 and F 2.
+(* Representation-strict equality: [Value.equal] calls I 2 and F 2
    equal, but downstream Div/Mod behave differently on the two, so a
    symbolic binding must reproduce the exact representative. *)
 let strict_equal a b =
@@ -336,585 +224,181 @@ let strict_equal a b =
   | Value.B a, Value.B b -> a = b
   | _ -> false
 
-let recon_f st conc e =
-  st.checked <- st.checked + 1;
-  match Eval.eval st.root_env e with
+let recon_f t conc e =
+  t.checked <- t.checked + 1;
+  match Eval.eval t.root_env e with
   | Some v when Float.equal (Value.to_float v) conc -> e
   | _ ->
-    st.fallbacks <- st.fallbacks + 1;
+    t.fallbacks <- t.fallbacks + 1;
     cf conc
 
-let recon_v st conc e =
-  match Eval.eval st.root_env e with
+let recon_v t conc e =
+  match Eval.eval t.root_env e with
   | Some v when strict_equal v conc -> e
   | _ ->
-    st.fallbacks <- st.fallbacks + 1;
+    t.fallbacks <- t.fallbacks + 1;
     const_v conc
 
-let sym_or_const st (c : sctx) (e : Ast.expr) (conc : Value.t) =
-  match subst c.senv e with
-  | Some se -> recon_v st conc se
-  | None ->
-    st.fallbacks <- st.fallbacks + 1;
-    const_v conc
-
-let recon_swork st (w : Work.t) (sw : swork) =
+let recon_swork t (w : Work.t) (sw : swork) =
   {
-    s_flops = recon_f st w.Work.flops sw.s_flops;
-    s_iops = recon_f st w.Work.iops sw.s_iops;
-    s_divs = recon_f st w.Work.divs sw.s_divs;
-    s_vec_flops = recon_f st w.Work.vec_flops sw.s_vec_flops;
-    s_vec_issue = recon_f st w.Work.vec_issue sw.s_vec_issue;
-    s_loads = recon_f st w.Work.loads sw.s_loads;
-    s_stores = recon_f st w.Work.stores sw.s_stores;
-    s_lbytes = recon_f st w.Work.lbytes sw.s_lbytes;
-    s_sbytes = recon_f st w.Work.sbytes sw.s_sbytes;
+    s_flops = recon_f t w.Work.flops sw.s_flops;
+    s_iops = recon_f t w.Work.iops sw.s_iops;
+    s_divs = recon_f t w.Work.divs sw.s_divs;
+    s_vec_flops = recon_f t w.Work.vec_flops sw.s_vec_flops;
+    s_vec_issue = recon_f t w.Work.vec_issue sw.s_vec_issue;
+    s_loads = recon_f t w.Work.loads sw.s_loads;
+    s_stores = recon_f t w.Work.stores sw.s_stores;
+    s_lbytes = recon_f t w.Work.lbytes sw.s_lbytes;
+    s_sbytes = recon_f t w.Work.sbytes sw.s_sbytes;
   }
 
-(* Mirrors Build.weighted_count, returning the concrete expectation and
-   its symbolic form. *)
-let sym_weighted_count _st entry_mass (ctxs : sctx list) (e : Ast.expr) =
-  let per = List.map (fun (c : sctx) -> (c, Eval.eval c.env e)) ctxs in
-  let conc =
-    List.fold_left
-      (fun acc ((c : sctx), v) ->
-        match v with
-        | Some v -> acc +. (c.mass *. Float.max 0. (Value.to_float v))
-        | None -> acc)
-      0. per
-    /. entry_mass
-  in
-  let sum =
-    List.fold_left
-      (fun acc ((c : sctx), v) ->
-        match v with
-        | None -> acc
-        | Some value ->
-          let se =
-            match subst c.senv e with Some se -> se | None -> const_v value
-          in
-          add acc (mul (cf c.mass) (max_ (cf 0.) se)))
-      (cf 0.) per
-  in
-  (conc, div sum (cf entry_mass))
+(* --- the closed-form domain ----------------------------------------- *)
 
-(* Truncated-geometric / while-loop expectations: concrete mirrors of
-   Build's closed forms plus symbolic counterparts branching on the
-   same concrete probabilities (frozen control flow). *)
-let tg_conc ~p ~n =
-  if n <= 0. then 0.
-  else if p <= 1e-12 then n
-  else if p >= 1. then 1.
-  else Float.min n ((1. -. ((1. -. p) ** n)) /. p)
+(* The companions [Bet.Build.Make] threads for the audit.  Expectations
+   branch on the same concrete values as Build (frozen control flow), so
+   each closed form evaluates at the reference inputs exactly like the
+   float it accompanies. *)
+module Closed (T : sig
+  val tally : tally
+end) =
+struct
+  let t = T.tally
 
-let wt_conc ~p ~n =
-  if n <= 0. then 0.
-  else if p >= 1. then n
-  else if p <= 0. then 1.
-  else Float.min n ((1. -. (p ** n)) /. (1. -. p))
+  type env = Ast.expr Smap.t
+  type value = Ast.expr
+  type num = Ast.expr
 
-let tg_sym ~p ~n_conc ~n_sym =
-  if n_conc <= 0. then cf 0.
-  else if p <= 1e-12 then n_sym
-  else if p >= 1. then cf 1.
-  else min_ n_sym (div (sub (cf 1.) (pow (cf (1. -. p)) n_sym)) (cf p))
+  (* Work forms, the bytes each array moves per execution, and a lib
+     call's volume. *)
+  type work = { sw : swork; touched : float Smap.t; scale : Ast.expr option }
+  type nonrec node = node
 
-let wt_sym ~p ~n_conc ~n_sym =
-  if n_conc <= 0. then cf 0.
-  else if p >= 1. then n_sym
-  else if p <= 0. then cf 1.
-  else min_ n_sym (div (sub (cf 1.) (pow (cf p) n_sym)) (cf (1. -. p)))
+  let fallback conc =
+    t.fallbacks <- t.fallbacks + 1;
+    const_v conc
 
-type flow = {
-  live : sctx list;
-  returned : float;
-  broke : float;
-  continued : float;
-}
+  let inputs bindings =
+    List.fold_left (fun m (k, _) -> Smap.add k (Ast.Var k) m) Smap.empty bindings
 
-let rec build_region st ~kind ~block ~prob ~trips_ref ~strips ~note ~abytes ~ctxs
-    ~stmts : node * flow =
-  let entry_mass = mass_of ctxs in
-  let cwork = ref Work.zero in
-  let swork = ref swork_zero in
-  let touched = ref Smap.empty in
-  let children = ref [] in
-  let add_child c = children := c :: !children in
-  let flow =
-    if entry_mass <= 0. then { live = ctxs; returned = 0.; broke = 0.; continued = 0. }
-    else
-      List.fold_left
-        (fun flow stmt ->
-          if mass_of flow.live <= 0. then flow
-          else build_stmt st ~entry_mass ~abytes ~cwork ~swork ~touched ~add_child flow stmt)
-        { live = ctxs; returned = 0.; broke = 0.; continued = 0. }
-        stmts
-  in
-  let node =
+  let value env e v =
+    match subst env e with Some se -> recon_v t v se | None -> fallback v
+
+  let value_lit = const_v
+  let bind env k v = Smap.add k v env
+  let unbind env k = Smap.remove k env
+  let lit = cf
+  let once = Ast.Int 1
+
+  let weigh sum m x = add sum (mul (cf m) x)
+  let per sum total = div sum (cf total)
+
+  let count (cs : env Context.t list) e total =
+    let term (c : env Context.t) v =
+      max_ (cf 0.) (match subst c.cenv e with Some se -> se | None -> const_v v)
+    in
+    per
+      (List.fold_left
+         (fun sum (c : env Context.t) ->
+           match Eval.eval c.env e with Some v -> weigh sum c.mass (term c v) | None -> sum)
+         (cf 0.) cs)
+      total
+
+  let expect ~default (cs : env Context.t list) e =
+    let total = Context.mass_of cs in
+    let term (c : env Context.t) =
+      match (Eval.eval c.env e, subst c.cenv e) with
+      | Some _, Some se -> se
+      | _ -> cf default
+    in
+    max_ (cf 0.)
+      (if total <= 0. then cf default
+       else per (List.fold_left (fun sum c -> weigh sum c.Context.mass (term c)) (cf 0.) cs) total)
+
+  (* Integer bounds get exact floor division, matching Build's float
+     arithmetic on the same values. *)
+  let range env ~lo ~hi ~step (lov, hiv, stv) ~n ~mid =
+    let subst_or e v = match subst env e with Some se -> se | None -> fallback v in
+    let lo_s = subst_or lo lov and hi_s = subst_or hi hiv and st_s = subst_or step stv in
+    let n_s, mid_s =
+      match (lov, hiv, stv) with
+      | Value.I _, Value.I _, Value.I _ ->
+        let n_s = max_ (Ast.Int 0) (add (fdiv (sub hi_s lo_s) st_s) (Ast.Int 1)) in
+        (n_s, add lo_s (mul st_s (fdiv (sub n_s (Ast.Int 1)) (Ast.Int 2))))
+      | _ -> (max_ (cf 0.) (add (floor_ (div (sub hi_s lo_s) st_s)) (cf 1.)), const_v mid)
+    in
+    (recon_f t n n_s, recon_v t mid mid_s)
+
+  let while_trips ~p ~n n_s =
+    if n <= 0. then cf 0.
+    else if p >= 1. then n_s
+    else if p <= 0. then cf 1.
+    else min_ n_s (div (sub (cf 1.) (pow (cf p) n_s)) (cf (1. -. p)))
+
+  let truncated_geometric ~p ~n n_s =
+    min_ n_s
+      (if n <= 0. then cf 0.
+       else if p <= 1e-12 then n_s
+       else if p >= 1. then cf 1.
+       else min_ n_s (div (sub (cf 1.) (pow (cf (1. -. p)) n_s)) (cf p)))
+
+  let check conc e = recon_f t conc e
+  let no_work = { sw = swork_zero; touched = Smap.empty; scale = None }
+
+  let add_comp w ~flops ~iops ~divs ~vec =
+    { w with sw = swork_add w.sw (swork_of_comp ~flops ~iops ~divs ~vec) }
+
+  let add_lit w x = { w with sw = swork_add w.sw (swork_lit x) }
+
+  let touch w accesses bytes =
+    let add m (a : Ast.access) =
+      let b = bytes a in
+      Smap.update a.Ast.array (function None -> Some b | Some x -> Some (x +. b)) m
+    in
+    { w with touched = List.fold_left add w.touched accesses }
+
+  let lib scale profile =
+    let sw = match profile with Some p -> swork_of_lib scale p | None -> swork_zero in
+    { no_work with sw; scale = Some scale }
+
+  let node ~id ~block ~kind ~prob ~note ~trips:trips_ref trips ~work:work_ref w children
+      =
     {
-      id = fresh st;
+      id;
       block;
       kind;
       prob;
       trips_ref;
-      trips = strips;
-      work_ref = !cwork;
-      work = recon_swork st !cwork !swork;
-      touched = Smap.bindings !touched;
-      lib_scale = None;
+      trips;
+      work_ref;
+      work = recon_swork t work_ref w.sw;
+      touched = Smap.bindings w.touched;
+      lib_scale = w.scale;
       note;
-      children = List.rev !children;
-    }
-  in
-  (node, flow)
-
-and build_stmt st ~entry_mass ~abytes ~cwork ~swork ~touched ~add_child flow
-    (s : Ast.stmt) : flow =
-  let live = flow.live in
-  let live_mass = mass_of live in
-  match s.Ast.kind with
-  | Ast.Comp { flops; iops; divs; vec } ->
-    let wf, sf = sym_weighted_count st entry_mass live flops in
-    let wi, si = sym_weighted_count st entry_mass live iops in
-    let wd, sd = sym_weighted_count st entry_mass live divs in
-    cwork := Work.add !cwork (Work.of_comp ~flops:wf ~iops:wi ~divs:wd ~vec);
-    swork := swork_add !swork (swork_of_comp ~flops:sf ~iops:si ~divs:sd ~vec);
-    flow
-  | Ast.Mem { loads; stores } ->
-    let frac = live_mass /. entry_mass in
-    let eb_of (a : Ast.access) =
-      match Smap.find_opt a.Ast.array abytes with Some eb -> eb | None -> 8
-    in
-    let count_side accesses =
-      let n = float_of_int (List.length accesses) *. frac in
-      let bytes =
-        List.fold_left (fun acc a -> acc +. float_of_int (eb_of a)) 0. accesses
-        *. frac
-      in
-      (n, bytes)
-    in
-    let nl, lb = count_side loads in
-    let ns, sb = count_side stores in
-    List.iter
-      (fun (a : Ast.access) ->
-        let b = float_of_int (eb_of a) *. frac in
-        touched :=
-          Smap.update a.Ast.array
-            (function None -> Some b | Some x -> Some (x +. b))
-            !touched)
-      (loads @ stores);
-    cwork := Work.add !cwork (Work.of_mem ~loads:nl ~stores:ns ~lbytes:lb ~sbytes:sb);
-    swork :=
-      swork_add !swork
-        (swork_of_mem ~loads:(cf nl) ~stores:(cf ns) ~lbytes:(cf lb) ~sbytes:(cf sb));
-    flow
-  | Ast.Let (v, e) ->
-    let k = live_mass /. entry_mass in
-    cwork := Work.add !cwork { Work.zero with Work.iops = k };
-    swork := swork_add !swork { swork_zero with s_iops = cf k };
-    let live =
-      List.map
-        (fun (c : sctx) ->
-          match Eval.eval c.env e with
-          | Some value ->
-            let se = sym_or_const st c e value in
-            { c with env = Smap.add v value c.env; senv = Smap.add v se c.senv }
-          | None ->
-            { c with env = Smap.remove v c.env; senv = Smap.remove v c.senv })
-        live
-    in
-    { flow with live = normalize ~cap:st.cap live }
-  | Ast.If { cond; then_; else_ } ->
-    let t_ctxs, f_ctxs = split_cond st live cond in
-    let arm which ctxs stmts =
-      if stmts = [] then { live = ctxs; returned = 0.; broke = 0.; continued = 0. }
-      else begin
-        let prob = mass_of ctxs /. entry_mass in
-        if prob <= 0. then { live = []; returned = 0.; broke = 0.; continued = 0. }
-        else begin
-          let node, aflow =
-            build_region st ~kind:(Bnode.Arm which)
-              ~block:(Block_id.Arm (s.Ast.sid, which))
-              ~prob ~trips_ref:1. ~strips:(Ast.Int 1) ~note:"" ~abytes ~ctxs ~stmts
-          in
-          add_child node;
-          aflow
-        end
-      end
-    in
-    let tf = arm true t_ctxs then_ in
-    let ff = arm false f_ctxs else_ in
-    {
-      live = normalize ~cap:st.cap (tf.live @ ff.live);
-      returned = flow.returned +. tf.returned +. ff.returned;
-      broke = flow.broke +. tf.broke +. ff.broke;
-      continued = flow.continued +. tf.continued +. ff.continued;
-    }
-  | Ast.For { var; lo; hi; step; body } ->
-    let prob = live_mass /. entry_mass in
-    let trips_of (c : sctx) =
-      match (Eval.eval c.env lo, Eval.eval c.env hi, Eval.eval c.env step) with
-      | Some lov, Some hiv, Some stv ->
-        let lof = Value.to_float lov
-        and hif = Value.to_float hiv
-        and stf = Value.to_float stv in
-        if stf <= 0. then ((0., cf 0.), (lov, const_v lov))
-        else begin
-          let n = Float.max 0. (Float.floor ((hif -. lof) /. stf) +. 1.) in
-          let mid = Value.of_float (lof +. (stf *. Float.floor ((n -. 1.) /. 2.))) in
-          let subst_or ex v =
-            match subst c.senv ex with
-            | Some se -> se
-            | None ->
-              st.fallbacks <- st.fallbacks + 1;
-              const_v v
-          in
-          let lo_s = subst_or lo lov
-          and hi_s = subst_or hi hiv
-          and st_s = subst_or step stv in
-          let all_int =
-            match (lov, hiv, stv) with
-            | Value.I _, Value.I _, Value.I _ -> true
-            | _ -> false
-          in
-          let n_s, mid_s =
-            if all_int then
-              let n_s = max_ (Ast.Int 0) (add (fdiv (sub hi_s lo_s) st_s) (Ast.Int 1)) in
-              let mid_s = add lo_s (mul st_s (fdiv (sub n_s (Ast.Int 1)) (Ast.Int 2))) in
-              (n_s, mid_s)
-            else
-              ( max_ (cf 0.) (add (floor_ (div (sub hi_s lo_s) st_s)) (cf 1.)),
-                const_v mid )
-          in
-          ((n, recon_f st n n_s), (mid, recon_v st mid mid_s))
-        end
-      | _ -> ((1., cf 1.), (Value.I 0, Ast.Int 0))
-    in
-    let per_ctx = List.map (fun c -> (c, trips_of c)) live in
-    let n_expected =
-      List.fold_left
-        (fun acc ((c : sctx), ((n, _), _)) -> acc +. (c.mass *. n))
-        0. per_ctx
-      /. live_mass
-    in
-    let n_expected_s =
-      div
-        (List.fold_left
-           (fun acc ((c : sctx), ((_, n_s), _)) -> add acc (mul (cf c.mass) n_s))
-           (cf 0.) per_ctx)
-        (cf live_mass)
-    in
-    let body_ctxs =
-      List.filter_map
-        (fun ((c : sctx), ((n, _), (mid, mid_s))) ->
-          if n <= 0. then None
-          else
-            Some
-              { c with env = Smap.add var mid c.env; senv = Smap.add var mid_s c.senv })
-        per_ctx
-    in
-    let note =
-      Fmt.str "%s=%a..%a x%.6g" var Pretty.pp_expr lo Pretty.pp_expr hi n_expected
-    in
-    if n_expected <= 0. || body_ctxs = [] then begin
-      let node, _ =
-        build_region st ~kind:Bnode.Loop ~block:(Block_id.Loop s.Ast.sid) ~prob
-          ~trips_ref:0. ~strips:(cf 0.) ~note ~abytes ~ctxs:[] ~stmts:[]
-      in
-      add_child node;
-      flow
-    end
-    else begin
-      let node, bflow =
-        build_region st ~kind:Bnode.Loop ~block:(Block_id.Loop s.Ast.sid) ~prob
-          ~trips_ref:n_expected ~strips:n_expected_s ~note ~abytes
-          ~ctxs:(normalize ~cap:st.cap body_ctxs)
-          ~stmts:body
-      in
-      let body_mass = mass_of body_ctxs in
-      let p_exit = (bflow.broke +. bflow.returned) /. body_mass in
-      let trips_eff = Float.min n_expected (tg_conc ~p:p_exit ~n:n_expected) in
-      let trips_eff_s =
-        min_ n_expected_s (tg_sym ~p:p_exit ~n_conc:n_expected ~n_sym:n_expected_s)
-      in
-      let node =
-        { node with trips_ref = trips_eff; trips = recon_f st trips_eff trips_eff_s }
-      in
-      add_child node;
-      let p_ret_iter = bflow.returned /. body_mass in
-      let surv = (1. -. p_ret_iter) ** trips_eff in
-      let live =
-        if surv >= 1. then live else List.map (fun c -> cscale c surv) live
-      in
-      {
-        live;
-        returned = flow.returned +. (live_mass *. (1. -. surv));
-        broke = flow.broke;
-        continued = flow.continued;
-      }
-    end
-  | Ast.While { name; p_continue; max_iter; body } ->
-    let prob = live_mass /. entry_mass in
-    let p_declared = expect_prob live p_continue in
-    let nmax = Float.max 0. (expect_conc live max_iter) in
-    let nmax_s = max_ (cf 0.) (expect_sym ~default:0. live max_iter) in
-    let trips_declared = wt_conc ~p:p_declared ~n:nmax in
-    let trips = Hints.loop_trips st.hints name ~default:trips_declared in
-    let trips_s =
-      if Float.equal trips trips_declared then
-        wt_sym ~p:p_declared ~n_conc:nmax ~n_sym:nmax_s
-      else cf trips
-    in
-    let note = Fmt.str "while %s x%.6g" name trips in
-    let node, bflow =
-      build_region st ~kind:Bnode.Loop ~block:(Block_id.Loop s.Ast.sid) ~prob
-        ~trips_ref:trips ~strips:trips_s ~note ~abytes ~ctxs:live ~stmts:body
-    in
-    let body_mass = Float.max live_mass 1e-300 in
-    let p_exit = (bflow.broke +. bflow.returned) /. body_mass in
-    let trips_eff = Float.min trips (tg_conc ~p:p_exit ~n:trips) in
-    let trips_eff_s = min_ trips_s (tg_sym ~p:p_exit ~n_conc:trips ~n_sym:trips_s) in
-    let node =
-      { node with trips_ref = trips_eff; trips = recon_f st trips_eff trips_eff_s }
-    in
-    add_child node;
-    let p_ret_iter = bflow.returned /. body_mass in
-    let surv = (1. -. p_ret_iter) ** trips_eff in
-    let live = if surv >= 1. then live else List.map (fun c -> cscale c surv) live in
-    {
-      live;
-      returned = flow.returned +. (live_mass *. (1. -. surv));
-      broke = flow.broke;
-      continued = flow.continued;
-    }
-  | Ast.Call (fname, args) -> (
-    match Ast.find_func st.program fname with
-    | exception Not_found -> flow
-    | callee ->
-      let prob = live_mass /. entry_mass in
-      let params = callee.Ast.params in
-      let args' =
-        if List.length args = List.length params then args
-        else List.init (List.length params) (fun _ -> Ast.Int 0)
-      in
-      let callee_ctxs =
-        List.map
-          (fun (c : sctx) ->
-            let bindings =
-              List.filter_map
-                (fun (param, arg) ->
-                  match Eval.eval c.env arg with
-                  | Some v -> Some (param, v, sym_or_const st c arg v)
-                  | None -> None)
-                (List.combine params args')
-            in
-            let env =
-              Eval.env_of_list
-                (st.global_bindings @ List.map (fun (k, v, _) -> (k, v)) bindings)
-            in
-            let senv =
-              List.fold_left
-                (fun m (k, se) -> Smap.add k se m)
-                Smap.empty
-                (st.global_sbindings @ List.map (fun (k, _, se) -> (k, se)) bindings)
-            in
-            { env; senv; mass = c.mass })
-          live
-      in
-      let note =
-        Fmt.str "%s(%s)" fname
-          (String.concat ","
-             (List.map (fun a -> Fmt.str "%a" Pretty.pp_expr a) args))
-      in
-      let node, _callee_flow =
-        build_region st ~kind:(Bnode.Func fname) ~block:(Block_id.Fn fname) ~prob
-          ~trips_ref:1. ~strips:(Ast.Int 1) ~note
-          ~abytes:(abytes_of st callee.Ast.arrays)
-          ~ctxs:(normalize ~cap:st.cap callee_ctxs)
-          ~stmts:callee.Ast.body
-      in
-      add_child node;
-      flow)
-  | Ast.Lib { name; args = _; scale } ->
-    let prob = live_mass /. entry_mass in
-    let scale_v = Float.max 0. (expect_conc ~default:1. live scale) in
-    let scale_s = recon_f st scale_v (max_ (cf 0.) (expect_sym ~default:1. live scale)) in
-    let cw, sw =
-      match st.lib_work name with
-      | Some w -> (Work.scale scale_v w, swork_of_lib scale_s w)
-      | None -> (Work.zero, swork_zero)
-    in
-    let node =
-      {
-        id = fresh st;
-        block = Block_id.Libc s.Ast.sid;
-        kind = Bnode.Libcall name;
-        prob;
-        trips_ref = 1.;
-        trips = Ast.Int 1;
-        work_ref = cw;
-        work = recon_swork st cw sw;
-        touched = [];
-        lib_scale = Some scale_s;
-        note = Fmt.str "scale=%.6g" scale_v;
-        children = [];
-      }
-    in
-    add_child node;
-    flow
-  | Ast.Return -> { flow with live = []; returned = flow.returned +. live_mass }
-  | Ast.Break { name; p } ->
-    let p_v = Hints.branch_prob st.hints name ~default:(expect_prob live p) in
-    {
-      flow with
-      live = List.map (fun c -> cscale c (1. -. p_v)) live;
-      broke = flow.broke +. (live_mass *. p_v);
-    }
-  | Ast.Continue { name; p } ->
-    let p_v = Hints.branch_prob st.hints name ~default:(expect_prob live p) in
-    {
-      flow with
-      live = List.map (fun c -> cscale c (1. -. p_v)) live;
-      continued = flow.continued +. (live_mass *. p_v);
+      children;
     }
 
-and split_cond st (live : sctx list) (cond : Ast.cond) : sctx list * sctx list =
-  match cond with
-  | Ast.Cexpr e ->
-    List.fold_left
-      (fun (ts, fs) (c : sctx) ->
-        match Eval.eval c.env e with
-        | Some v -> if Value.truthy v then (c :: ts, fs) else (ts, c :: fs)
-        | None -> (cscale c 0.5 :: ts, cscale c 0.5 :: fs))
-      ([], []) live
-    |> fun (ts, fs) -> (List.rev ts, List.rev fs)
-  | Ast.Cdata { name; p } ->
-    let p_v = Hints.branch_prob st.hints name ~default:(expect_prob live p) in
-    ( List.filter_map
-        (fun c -> if p_v > 0. then Some (cscale c p_v) else None)
-        live,
-      List.filter_map
-        (fun c -> if p_v < 1. then Some (cscale c (1. -. p_v)) else None)
-        live )
+  let retrip n trips_ref trips = { n with trips_ref; trips }
+end
 
-(* --- reconciliation against the real BET ----------------------------- *)
-
-let rec constify (b : Bnode.t) : node =
-  let w = b.Bnode.work in
-  {
-    id = b.Bnode.id;
-    block = b.Bnode.block;
-    kind = b.Bnode.kind;
-    prob = b.Bnode.prob;
-    trips_ref = b.Bnode.trips;
-    trips = cf b.Bnode.trips;
-    work_ref = w;
-    work =
-      {
-        s_flops = cf w.Work.flops;
-        s_iops = cf w.Work.iops;
-        s_divs = cf w.Work.divs;
-        s_vec_flops = cf w.Work.vec_flops;
-        s_vec_issue = cf w.Work.vec_issue;
-        s_loads = cf w.Work.loads;
-        s_stores = cf w.Work.stores;
-        s_lbytes = cf w.Work.lbytes;
-        s_sbytes = cf w.Work.sbytes;
-      };
-    touched = [];
-    lib_scale = None;
-    note = b.Bnode.note;
-    children = List.map constify b.Bnode.children;
-  }
-
-let derive ?(hints = Hints.empty) ?(lib_work = fun _ -> None) ?(max_contexts = 64)
-    ?(inputs = []) (program : Ast.program) : result =
-  let bet =
-    Skope_bet.Build.build ~hints ~lib_work ~max_contexts ~inputs program
-  in
-  let global_abytes =
-    List.fold_left
-      (fun m (a : Ast.array_decl) -> Smap.add a.Ast.aname a.Ast.elem_bytes m)
-      Smap.empty program.Ast.globals
-  in
-  let st =
+let derive ?hints ?lib_work ?max_contexts ?(inputs = []) (program : Ast.program) :
+    result =
+  let tally = { root_env = Eval.env_of_list inputs; checked = 0; fallbacks = 0 } in
+  let module B = Skope_bet.Build.Make (Closed (struct
+    let tally = tally
+  end)) in
+  let root, _warnings = B.build ?hints ?lib_work ?max_contexts ~inputs program in
+  (* Every node's trips and work forms, checked once more against the
+     node's own concrete values: the forms the audit rules read. *)
+  let rec verify n =
     {
-      program;
-      hints;
-      lib_work;
-      cap = max_contexts;
-      root_env = Eval.env_of_list inputs;
-      next_id = 0;
-      global_bindings = inputs;
-      global_sbindings = List.map (fun (k, _) -> (k, Ast.Var k)) inputs;
-      global_abytes;
-      checked = 0;
-      fallbacks = 0;
+      n with
+      trips = recon_f tally n.trips_ref n.trips;
+      work = recon_swork tally n.work_ref n.work;
+      children = List.map verify n.children;
     }
   in
-  let entry = Ast.entry_func program in
-  let senv0 =
-    List.fold_left (fun m (k, _) -> Smap.add k (Ast.Var k) m) Smap.empty inputs
-  in
-  let root, _flow =
-    build_region st ~kind:(Bnode.Func entry.Ast.fname)
-      ~block:(Block_id.Fn entry.Ast.fname) ~prob:1. ~trips_ref:1.
-      ~strips:(Ast.Int 1) ~note:"entry"
-      ~abytes:(abytes_of st entry.Ast.arrays)
-      ~ctxs:[ { env = st.root_env; senv = senv0; mass = 1.0 } ]
-      ~stmts:entry.Ast.body
-  in
-  (* Safety net: any expression that fails to reproduce the real BET's
-     number at the reference inputs is demoted to that number, so the
-     evaluated-at-reference tree always byte-matches the BET. *)
-  let mismatches = ref 0 in
-  let against conc e =
-    st.checked <- st.checked + 1;
-    match Eval.eval st.root_env e with
-    | Some v when Float.equal (Value.to_float v) conc -> e
-    | _ ->
-      st.fallbacks <- st.fallbacks + 1;
-      cf conc
-  in
-  let rec zip (sn : node) (b : Bnode.t) : node =
-    if
-      (not (Block_id.equal sn.block b.Bnode.block))
-      || List.length sn.children <> List.length b.Bnode.children
-    then begin
-      incr mismatches;
-      constify b
-    end
-    else
-      let w = b.Bnode.work in
-      {
-        sn with
-        prob = b.Bnode.prob;
-        trips_ref = b.Bnode.trips;
-        trips = against b.Bnode.trips sn.trips;
-        work_ref = w;
-        work =
-          {
-            s_flops = against w.Work.flops sn.work.s_flops;
-            s_iops = against w.Work.iops sn.work.s_iops;
-            s_divs = against w.Work.divs sn.work.s_divs;
-            s_vec_flops = against w.Work.vec_flops sn.work.s_vec_flops;
-            s_vec_issue = against w.Work.vec_issue sn.work.s_vec_issue;
-            s_loads = against w.Work.loads sn.work.s_loads;
-            s_stores = against w.Work.stores sn.work.s_stores;
-            s_lbytes = against w.Work.lbytes sn.work.s_lbytes;
-            s_sbytes = against w.Work.sbytes sn.work.s_sbytes;
-          };
-        children = List.map2 zip sn.children b.Bnode.children;
-      }
-  in
-  let sroot = zip root bet.Skope_bet.Build.root in
-  {
-    sroot;
-    bet;
-    checked = st.checked;
-    fallbacks = st.fallbacks;
-    shape_mismatches = !mismatches;
-  }
+  let sroot = verify root in
+  { sroot; checked = tally.checked; fallbacks = tally.fallbacks }
 
 (* --- aggregation and growth probing ---------------------------------- *)
 

@@ -1,12 +1,12 @@
 (** Symbolic cost model over skeleton ASTs.
 
-    [derive] mirrors [Bet.Build.build] step for step but carries, next
-    to every concrete expectation, a closed-form [Ast.expr] over the
-    workload's input parameters.  Evaluating the symbolic tree at the
-    reference inputs reproduces the BET's concrete counts exactly (a
-    zip against an independently built BET enforces this, demoting any
-    divergent expression to a literal and counting it in [fallbacks]);
-    evaluating at other bindings predicts per-block scaling. *)
+    [derive] is the BET builder ([Bet.Build.Make]) over a closed-form
+    domain: next to every concrete expectation it carries a closed-form
+    [Ast.expr] over the workload's input parameters.  Each expression
+    is checked at the reference inputs as it is formed and demoted to a
+    literal if it diverges (counted in [fallbacks]), so evaluating the
+    symbolic tree there reproduces the BET's concrete counts exactly;
+    evaluating it at other bindings predicts per-block scaling. *)
 
 open Skope_skeleton
 module Value = Skope_bet.Value
@@ -72,12 +72,9 @@ type node = {
 }
 
 type result = {
-  sroot : node;
-  bet : Skope_bet.Build.result;
-      (** the independently built BET the tree was reconciled against *)
+  sroot : node;  (** the BET, node for node, with closed forms *)
   checked : int;  (** expressions verified at the reference inputs *)
   fallbacks : int;  (** expressions demoted to concrete literals *)
-  shape_mismatches : int;  (** subtrees where the mirror diverged *)
 }
 
 val derive :

@@ -129,6 +129,13 @@ PTS_J4=$("$SKOPE" explore -w sord -m bgq --axis bw=7,14 --axis freq=0.8,1.6 \
 [ "$(sort <<<"$PTS_J4")" = "$(sort <<<"$PTS_J1")" ] \
     || fail "explore -j 4 points differ from -j 1"
 
+echo "smoke: audit report matches the expected file"
+# A005's L2-crossing multipliers evaluate the symbolic model's closed
+# forms at 2-64x scale, so byte equality covers the closed forms too.
+EXPECTED_AUDIT=scripts/golden/audit-fleet.json
+"$SKOPE" audit --workloads --format json | cmp -s - "$EXPECTED_AUDIT" \
+    || fail "audit --workloads json differs from $EXPECTED_AUDIT"
+
 # --- server lifecycle -------------------------------------------------
 
 # start_server LOGFILE [serve flags...] -> SERVER_PID, SERVER_PORT.

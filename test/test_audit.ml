@@ -1,8 +1,8 @@
-(* Audit subsystem: the symbolic cost model (reconciliation against an
-   independently built BET, cross-scale exactness of the closed
-   forms), the rendezvous communication simulator, the A001..A008
-   rules on seeded fixtures, and skoped protocol/dispatch/cluster
-   parity for the audit kind. *)
+(* Audit subsystem: the symbolic cost model (its tree is the BET node
+   for node, its closed forms reproduce the BET at the reference inputs
+   and predict it exactly across scales), the rendezvous communication
+   simulator, the A001..A008 rules on seeded fixtures, and skoped
+   protocol/dispatch/cluster parity for the audit kind. *)
 
 open Core
 module S = Lint.Symbolic
@@ -63,14 +63,71 @@ let test_fleet_soundness () =
       Alcotest.(check int)
         (w.name ^ ": no symbolic fallbacks")
         0 r.S.fallbacks;
-      Alcotest.(check int)
-        (w.name ^ ": no shape mismatches")
-        0 r.S.shape_mismatches;
       Alcotest.(check bool) (w.name ^ ": expressions were checked") true
         (r.S.checked > 0);
       Alcotest.(check bool) (w.name ^ ": non-trivial tree") true
         (S.node_count r.S.sroot > 1))
     Registry.all
+
+(* --- one builder: the symbolic tree is the BET ----------------------- *)
+
+let bits = Int64.bits_of_float
+
+let work_fields (w : Work.t) =
+  [ w.flops; w.iops; w.divs; w.vec_flops; w.vec_issue; w.loads; w.stores; w.lbytes; w.sbytes ]
+
+let same_bits xs ys = List.for_all2 (fun x y -> bits x = bits y) xs ys
+
+(* [Symbolic.derive] runs the BET builder over its closed-form domain,
+   so its tree must be [Build.build]'s node for node, and each node's
+   trip and work forms must evaluate at the reference inputs to the
+   BET node's values. *)
+let rec check_same_tree ~what ~env (s : S.node) (b : Bet.Node.t) =
+  let where = Fmt.str "%s node %d (%s)" what b.id (Bet.Block_id.to_string b.block) in
+  Alcotest.(check bool) (where ^ " matches the BET") true
+    (s.S.id = b.id
+    && Bet.Block_id.equal s.S.block b.block
+    && s.S.kind = b.kind && String.equal s.S.note b.note
+    && List.length s.S.children = List.length b.children
+    && same_bits [ s.S.prob; s.S.trips_ref ] [ b.prob; b.trips ]
+    && same_bits (work_fields s.S.work_ref) (work_fields b.work));
+  let at e = Eval.eval_float ~default:Float.nan env e in
+  let w = s.S.work in
+  Alcotest.(check bool) (where ^ " closed forms evaluate to the BET") true
+    (same_bits
+       (List.map at
+          [ s.S.trips; w.S.s_flops; w.S.s_iops; w.S.s_divs; w.S.s_vec_flops; w.S.s_vec_issue;
+            w.S.s_loads; w.S.s_stores; w.S.s_lbytes; w.S.s_sbytes ])
+       (b.trips :: work_fields b.work));
+  List.iter2 (check_same_tree ~what ~env) s.S.children b.children
+
+let test_symbolic_tree_is_the_bet () =
+  let registry =
+    List.concat_map
+      (fun (w : Registry.t) ->
+        List.map
+          (fun m ->
+            let program, inputs = w.make ~scale:(w.default_scale *. m) in
+            (Fmt.str "%s@%gx" w.name m, program, inputs))
+          [ 0.5; 1.; 2. ])
+      Registry.all
+  in
+  let corpus =
+    List.init 200 (fun index ->
+        let c = Skope_gen.Gen.generate ~seed:42L ~index () in
+        (c.Skope_gen.Gen.name, c.Skope_gen.Gen.program, c.Skope_gen.Gen.inputs))
+  in
+  List.iter
+    (fun (name, program, inputs) ->
+      List.iter
+        (fun (tag, inputs) ->
+          let what = Fmt.str "%s %s" name tag in
+          let bet = Bet.Build.build ~lib_work ~inputs program in
+          let r = S.derive ~lib_work ~inputs program in
+          Alcotest.(check int) (what ^ ": node count") bet.node_count (S.node_count r.S.sroot);
+          check_same_tree ~what ~env:(Eval.env_of_list inputs) r.S.sroot bet.root)
+        [ ("with inputs", inputs); ("without inputs", []) ])
+    (registry @ corpus)
 
 (* --- cross-scale exactness ------------------------------------------ *)
 
@@ -463,6 +520,8 @@ let suite =
           test_symbolic_constructors;
         Alcotest.test_case "fleet derives with zero fallbacks" `Slow
           test_fleet_soundness;
+        Alcotest.test_case "symbolic tree is the BET node for node" `Quick
+          test_symbolic_tree_is_the_bet;
         Alcotest.test_case "closed forms are exact across scales" `Slow
           test_cross_scale_exact;
       ] );

@@ -110,13 +110,17 @@ let test_eval_count_clamps () =
 
 (* --- Context ---------------------------------------------------------- *)
 
-let ctx ?(mass = 1.0) l =
-  Context.make ~mass (List.map (fun (k, v) -> (k, Value.I v)) l)
+let ctx ?(mass = 1.0) ?(cenv = "") l =
+  Context.make ~mass (List.map (fun (k, v) -> (k, Value.I v)) l) cenv
 
 let test_context_normalize_merges () =
-  let cs = [ ctx ~mass:0.25 [ ("a", 1) ]; ctx ~mass:0.25 [ ("a", 1) ] ] in
+  let cs =
+    [ ctx ~mass:0.25 ~cenv:"first" [ ("a", 1) ]; ctx ~mass:0.25 ~cenv:"second" [ ("a", 1) ] ]
+  in
   match Context.normalize cs with
-  | [ c ] -> Alcotest.(check (float 1e-12)) "merged mass" 0.5 c.Context.mass
+  | [ c ] ->
+    Alcotest.(check (float 1e-12)) "merged mass" 0.5 c.Context.mass;
+    Alcotest.(check string) "first companion kept" "first" c.Context.cenv
   | l -> Alcotest.failf "expected one context, got %d" (List.length l)
 
 let test_context_normalize_cap_preserves_mass () =
@@ -135,11 +139,12 @@ let test_context_expect () =
 
 let test_context_bind_lookup () =
   let c = ctx [ ("a", 1) ] in
-  let c = Context.bind c "b" (Value.I 9) in
+  let c = Context.bind c "b" (Value.I 9) "b bound" in
   Alcotest.(check bool) "lookup bound" true
     (Context.lookup c "b" = Some (Value.I 9));
-  let c = Context.unbind c "b" in
-  Alcotest.(check bool) "unbound gone" true (Context.lookup c "b" = None)
+  let c = Context.unbind c "b" "b unbound" in
+  Alcotest.(check bool) "unbound gone" true (Context.lookup c "b" = None);
+  Alcotest.(check string) "companion replaced" "b unbound" c.Context.cenv
 
 (* --- Hints ------------------------------------------------------------ *)
 

@@ -5,7 +5,7 @@
    regression pins for the bugs the first fuzz campaign surfaced
    (pretty-printed label duplication on combined load/store, negated
    literal round-trips, generic element types, entry-parameter
-   binding in the simulator). *)
+   binding in the simulator), and the audit gate's fallback check. *)
 
 module G = Skope_gen.Gen
 module GA = Skope_gen.Archetype
@@ -236,6 +236,40 @@ let test_entry_param_binding () =
     Alcotest.failf "entry param n not bound: %g cycles for 200 iterations"
       r.Core.Sim.Interp.total_cycles
 
+(* The audit gate also fails a case whose symbolic model falls back to
+   literals: here a squaring [let] chain outgrows the closed-form size
+   budget. *)
+let test_audit_gate_fallbacks () =
+  let lets =
+    List.init 13 (fun i ->
+        Fmt.str "  let v%d = v%d * v%d" (i + 1) i i)
+  in
+  let src =
+    String.concat "\n"
+      ([ "program blowup"; "def main(n) {"; "  let v0 = n * n" ]
+      @ lets
+      @ [ "  @l: for i = 0 to v13 { comp flops=v13 }"; "}"; "" ])
+  in
+  let case =
+    {
+      G.index = 0;
+      master_seed = 0L;
+      case_seed = 0L;
+      archetype = GA.Compute;
+      name = "blowup";
+      program = parse src;
+      inputs = [ ("n", Value.I 1) ];
+    }
+  in
+  let audit_fails =
+    List.filter (fun f -> f.GF.gate = GF.Audit) (GF.check_case ~repro:"-" case)
+  in
+  match audit_fails with
+  | [ f ] ->
+    Alcotest.(check bool) ("names the fallbacks: " ^ f.GF.detail) true
+      (String.ends_with ~suffix:"closed forms fell back to literals" f.GF.detail)
+  | fs -> Alcotest.failf "expected one audit failure, got %d" (List.length fs)
+
 let suite =
   [
     ( "gen",
@@ -262,5 +296,7 @@ let suite =
           test_generic_elem_type;
         Alcotest.test_case "regression: entry-param binding" `Quick
           test_entry_param_binding;
+        Alcotest.test_case "audit gate fails on symbolic fallbacks" `Quick
+          test_audit_gate_fallbacks;
       ] );
   ]

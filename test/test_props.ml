@@ -168,7 +168,8 @@ let ctx_list_gen =
        (fun v m ->
          Context.make
            ~mass:(float_of_int (m + 1) /. 10.)
-           [ ("a", Value.I (v mod 5)) ])
+           [ ("a", Value.I (v mod 5)) ]
+           ())
        gen_small_int gen_small_int)
 
 let arbitrary_ctxs =
