@@ -5,7 +5,7 @@
     - [workloads], [machines]: list what is bundled;
     - [show]: print a workload's skeleton in the DSL syntax;
     - [parse]: parse and validate a [.skope] file;
-    - [lint]: interval-domain static analysis (rules L001..L010);
+    - [lint]: interval-domain static analysis (rules L001..L011);
     - [analyze]: analytic projection of hot spots for a machine
       (no execution on the target — the paper's use case); works on
       bundled workloads or on a [.skope] file with [--input] bindings;
@@ -304,7 +304,7 @@ let cmd_lint =
     (Cmd.info "lint"
        ~doc:
          "Lint skeletons with the interval-domain static analyzer (rules \
-          L001..L010; see --rules)")
+          L001..L011; see --rules)")
     Term.(
       const run $ files_arg $ lint_workloads_arg $ all_workloads_arg
       $ scale_arg $ inputs_arg $ format_arg $ deny_arg $ disable_arg

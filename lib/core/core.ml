@@ -17,7 +17,7 @@
       example;
     - {!Report} — plain-text tables and charts;
     - {!Lint} — interval-domain static analysis with rustc-style
-      diagnostics ([L001]..[L010]);
+      diagnostics ([L001]..[L011]);
     - {!Telemetry} — phase-level tracing spans, counters and
       Prometheus-style exposition;
     - {!Pipeline} — the end-to-end workflow of the paper's Fig. 1.

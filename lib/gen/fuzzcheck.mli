@@ -7,7 +7,8 @@
       pretty-printing the reparse reproduces the exact text;
     + {b lint}: {!Skope_lint.Engine.run} neither raises nor reports an
       [Error]-severity finding (the generator promises error-free
-      programs);
+      programs), and checks the whole case within its visit budget
+      (no [L011]);
     + {b audit}: {!Skope_lint.Audit.run} neither raises nor reports an
       [Error] (generated comm exchanges are phased, so A007 must stay
       quiet), and every closed form of its symbolic model reconciles at

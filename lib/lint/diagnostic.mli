@@ -1,7 +1,7 @@
 (** Span-carrying diagnostics with stable rule codes, a rustc-style
     text renderer and a machine-readable JSON form.
 
-    Used by the lint engine (L001..L010), the validator bridge
+    Used by the lint engine (L001..L011), the validator bridge
     (V001..V011) and the parse-error bridge (P001/P002). *)
 
 open Skope_skeleton

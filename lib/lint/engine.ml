@@ -21,23 +21,28 @@ let rules =
     ("L008", "data-dependent construct without a profile hint");
     ("L009", "while loop with p_continue = 1 and no finite cap");
     ("L010", "send and receive volumes can never balance");
+    ("L011", "lint stopped at its statement-visit budget");
   ]
 
-(* Mutable pass state.  [sends]/[recvs] accumulate (site, volume)
-   pairs for L010; [budget] caps total statement visits so that a
-   pathological call tree cannot hang the linter. *)
-(* A function is reached from several call contexts (and loop bodies
-   are re-walked during widening), so a branch condition can be decided
-   in one context and open in another.  L005 only fires when every
-   non-quiet visit agreed — tracked per statement id. *)
+(* A function is reached from several call contexts, so a branch
+   condition can be decided in one context and open in another.  L005
+   only fires when every visit of the checking walk agreed — tracked
+   per statement id.  The condition is printed only if it fires. *)
 type verdict = {
   v_loc : Loc.t;
-  v_expr : string;
+  v_cond : expr;
   v_fname : string;
   mutable all_true : bool;
   mutable all_false : bool;
 }
 
+(* Statement visits per run, discovery walks included, so that a
+   pathological call tree cannot hang the linter. *)
+let max_visits = 200_000
+
+(* Mutable pass state.  [sends]/[recvs] accumulate (site, volume)
+   pairs for L010; [budget] counts down from [max_visits], and
+   [stopped_at] is the first statement it refused (L011). *)
 type st = {
   disabled : Sset.t;
   hints : Sset.t;
@@ -49,19 +54,23 @@ type st = {
   mutable sends : (Loc.t * I.t) list;
   mutable recvs : (Loc.t * I.t) list;
   mutable budget : int;
-  mutable quiet : bool;
-      (** widening-discovery walks: no diagnostics, no volumes *)
+  mutable stopped_at : Loc.t option;
 }
 
-let emit st ~code ~severity ~loc ?(notes = []) fmt =
-  Fmt.kstr
-    (fun message ->
-      if (not st.quiet) && not (Sset.mem code st.disabled) then
+(* A diagnostic's text is built only when it is kept: a disabled
+   code's message is consumed unformatted and its notes never forced. *)
+let emit st ~code ~severity ~loc ?(notes = fun () -> []) fmt =
+  if Sset.mem code st.disabled then Format.ikfprintf ignore Fmt.stderr fmt
+  else
+    Fmt.kstr
+      (fun message ->
         st.diags <-
-          Diagnostic.make ~notes ~code ~severity ~loc message :: st.diags)
-    fmt
+          Diagnostic.make ~notes:(notes ()) ~code ~severity ~loc message
+          :: st.diags)
+      fmt
 
 let expr_str e = Fmt.str "%a" Pretty.pp_expr e
+let in_function fname = Fmt.str "in function `%s`" fname
 
 let arrays_of st (f : func) =
   List.fold_left
@@ -182,62 +191,70 @@ let rec refine env cond positive =
 (* L002: every division or modulus anywhere in a statement's
    expressions.  Top divisors are skipped — "we know nothing" is not
    evidence of a zero. *)
-let rec check_div st env loc ~fnote e =
+let rec check_div st env loc ~fname e =
   match e with
   | Int _ | Float _ | Bool _ | Var _ -> ()
   | Binop (op, a, b) -> (
-    check_div st env loc ~fnote a;
-    check_div st env loc ~fnote b;
+    check_div st env loc ~fname a;
+    check_div st env loc ~fname b;
     match op with
     | Div | Mod -> (
       let d = eval env b in
       match I.const d with
       | Some 0. ->
         emit st ~code:"L002" ~severity:Diagnostic.Error ~loc
-          ~notes:[ Fmt.str "divisor `%s` is always 0" (expr_str b); fnote ]
+          ~notes:(fun () ->
+            [
+              Fmt.str "divisor `%s` is always 0" (expr_str b);
+              in_function fname;
+            ])
           "division by zero"
       | _ ->
         if I.contains d 0. && not (I.is_top d) then
           emit st ~code:"L002" ~severity:Diagnostic.Warning ~loc
-            ~notes:
+            ~notes:(fun () ->
               [
                 Fmt.str "divisor `%s` has interval %s" (expr_str b)
                   (I.to_string d);
-                fnote;
-              ]
+                in_function fname;
+              ])
             "possible division by zero")
     | _ -> ())
   | Cmp (_, a, b) | And (a, b) | Or (a, b) ->
-    check_div st env loc ~fnote a;
-    check_div st env loc ~fnote b
-  | Unop (_, a) -> check_div st env loc ~fnote a
+    check_div st env loc ~fname a;
+    check_div st env loc ~fname b
+  | Unop (_, a) -> check_div st env loc ~fname a
 
-(* L003 *)
-let check_prob st env loc ~fnote ~what p =
+(* L003.  [what] prints the construct's label into the message. *)
+let check_prob st env loc ~fname ~what p =
   let i = eval env p in
-  let show =
-    Fmt.str "`%s` evaluates to %s" (expr_str p) (I.to_string i)
+  let notes () =
+    [
+      Fmt.str "`%s` evaluates to %s" (expr_str p) (I.to_string i);
+      in_function fname;
+    ]
   in
   if i.I.lo > 1. || i.I.hi < 0. then
-    emit st ~code:"L003" ~severity:Diagnostic.Error ~loc
-      ~notes:[ show; fnote ] "%s probability is outside [0, 1]" what
+    emit st ~code:"L003" ~severity:Diagnostic.Error ~loc ~notes
+      "%t probability is outside [0, 1]" what
   else if
     (Float.is_finite i.I.hi && i.I.hi > 1.)
     || (Float.is_finite i.I.lo && i.I.lo < 0.)
   then
-    emit st ~code:"L003" ~severity:Diagnostic.Warning ~loc
-      ~notes:[ show; fnote ] "%s probability may fall outside [0, 1]" what
+    emit st ~code:"L003" ~severity:Diagnostic.Warning ~loc ~notes
+      "%t probability may fall outside [0, 1]" what
 
 (* L008 *)
-let check_hint st loc ~fnote ~what name =
+let check_hint st loc ~fname ~what name =
   if not (Sset.mem name st.hints) then
-    emit st ~code:"L008" ~severity:Diagnostic.Info ~loc ~notes:[ fnote ]
+    emit st ~code:"L008" ~severity:Diagnostic.Info ~loc
+      ~notes:(fun () -> [ in_function fname ])
       "%s `%s` has no profile hint; projection will trust the declared \
        probability"
       what name
 
 (* L004 *)
-let check_access st env arrays loc ~fnote ({ array; index } : access) =
+let check_access st env arrays loc ~fname ({ array; index } : access) =
   match Smap.find_opt array arrays with
   | None -> () (* Validate's V003 *)
   | Some decl ->
@@ -246,30 +263,29 @@ let check_access st env arrays loc ~fnote ({ array; index } : access) =
         (fun k idx ->
           let iv = eval env idx in
           let dv = eval env (List.nth decl.dims k) in
-          let show =
-            Fmt.str "index `%s` evaluates to %s; the dimension is %s"
-              (expr_str idx) (I.to_string iv) (I.to_string dv)
+          let notes () =
+            [
+              Fmt.str "index `%s` evaluates to %s; the dimension is %s"
+                (expr_str idx) (I.to_string iv) (I.to_string dv);
+              in_function fname;
+            ]
           in
           if iv.I.hi < 0. then
-            emit st ~code:"L004" ~severity:Diagnostic.Error ~loc
-              ~notes:[ show; fnote ]
+            emit st ~code:"L004" ~severity:Diagnostic.Error ~loc ~notes
               "index %d of array `%s` is always negative" k array
           else if Float.is_finite dv.I.hi && iv.I.lo > dv.I.hi -. 1. then
-            emit st ~code:"L004" ~severity:Diagnostic.Error ~loc
-              ~notes:[ show; fnote ]
+            emit st ~code:"L004" ~severity:Diagnostic.Error ~loc ~notes
               "index %d of array `%s` is always out of bounds" k array
           else begin
             if Float.is_finite iv.I.lo && iv.I.lo < 0. then
-              emit st ~code:"L004" ~severity:Diagnostic.Warning ~loc
-                ~notes:[ show; fnote ]
+              emit st ~code:"L004" ~severity:Diagnostic.Warning ~loc ~notes
                 "index %d of array `%s` may be negative" k array;
             if
               Float.is_finite iv.I.hi
               && Float.is_finite dv.I.hi
               && iv.I.hi > dv.I.hi -. 1.
             then
-              emit st ~code:"L004" ~severity:Diagnostic.Warning ~loc
-                ~notes:[ show; fnote ]
+              emit st ~code:"L004" ~severity:Diagnostic.Warning ~loc ~notes
                 "index %d of array `%s` may exceed its dimension" k array
           end)
         index
@@ -293,50 +309,84 @@ let join_envs outer a b =
       I.join (get a) (get b))
     outer
 
-let record_verdict st s ~fname ~cond_str t =
-  if not st.quiet then begin
-    let v =
-      match Hashtbl.find_opt st.verdicts s.sid with
-      | Some v -> v
-      | None ->
-        let v =
-          {
-            v_loc = s.loc;
-            v_expr = cond_str;
-            v_fname = fname;
-            all_true = true;
-            all_false = true;
-          }
-        in
-        Hashtbl.add st.verdicts s.sid v;
-        v
-    in
-    v.all_true <- v.all_true && t = I.True;
-    v.all_false <- v.all_false && t = I.False
+let record_verdict st s ~fname cond t =
+  let v =
+    match Hashtbl.find_opt st.verdicts s.sid with
+    | Some v -> v
+    | None ->
+      let v =
+        {
+          v_loc = s.loc;
+          v_cond = cond;
+          v_fname = fname;
+          all_true = true;
+          all_false = true;
+        }
+      in
+      Hashtbl.add st.verdicts s.sid v;
+      v
+  in
+  v.all_true <- v.all_true && t = I.True;
+  v.all_false <- v.all_false && t = I.False
+
+(* Every statement visit, checking or discovery, spends one unit of
+   budget; once it is gone, statements are skipped unvisited. *)
+let spend st s =
+  if st.budget > 0 then begin
+    st.budget <- st.budget - 1;
+    true
+  end
+  else begin
+    if st.stopped_at = None then st.stopped_at <- Some s.loc;
+    false
   end
 
-(* [mult] is the interval of expected execution counts of the current
-   statement (entry body = 1); it only feeds L010's volume totals.
-   [stack] guards against recursive call chains (flagged by V011, so
-   we silently stop inlining). *)
-let rec walk_block st ~fname ~stack env arrays mult b =
-  List.fold_left
-    (fun env s -> walk_stmt st ~fname ~stack env arrays mult s)
-    env b
+(* A for loop's variable ranges over its bounds' hull. *)
+let enter_for var lo hi entry =
+  let li = eval entry lo and hi_i = eval entry hi in
+  Smap.add var (I.make li.I.lo hi_i.I.hi) entry
 
-(* One-step widening for loop bodies: quietly walk the body to find
-   which outer variables it rebinds to a different abstract value,
-   widen those to top, and repeat until the set is stable (a Let that
-   only depends on stable values is re-established identically every
-   iteration, so the widened entry env is a fixpoint). *)
-and widen_for_body st ~fname ~stack env arrays ~enter body =
+(* Widening discovery needs only the environment each statement leaves
+   behind, so it runs no checks (they could only emit), skips callees
+   (a call never rebinds its caller's variables), follows only the live
+   arm of a decided branch, and does not walk a loop body again once
+   its entry is widened.  A d-deep nest costs about d² visits, but 2^d
+   when each loop body resets a variable the next loop carries: every
+   round re-widens that inner loop from a constant. *)
+let rec bind_block st env b = List.fold_left (bind_stmt st) env b
+
+and bind_stmt st env s =
+  if not (spend st s) then env
+  else
+    match s.kind with
+    | Let (v, e) -> Smap.add v (eval env e) env
+    | If { cond = Cexpr e; then_; else_ } -> (
+      let arm positive b = bind_block st (refine env e positive) b in
+      match truth env e with
+      | I.True -> restrict env (arm true then_)
+      | I.False -> restrict env (arm false else_)
+      | I.Unknown ->
+        let env_t = arm true then_ in
+        join_envs env env_t (arm false else_))
+    | If { cond = Cdata _; then_; else_ } ->
+      let env_t = bind_block st env then_ in
+      join_envs env env_t (bind_block st env else_)
+    | For { var; lo; hi; body; _ } ->
+      restrict env (widen_for_body st env body ~enter:(enter_for var lo hi))
+    | While { body; _ } ->
+      restrict env (widen_for_body st env body ~enter:Fun.id)
+    | Comp _ | Mem _ | Call _ | Lib _ | Return | Break _ | Continue _ -> env
+
+(* One-step widening for loop bodies: find which outer variables the
+   body rebinds to a different abstract value, widen those to top, and
+   repeat until the set is stable (a Let that only depends on stable
+   values is re-established identically every iteration, so the widened
+   entry env is a fixpoint). *)
+and widen_for_body st env body ~enter =
   let apply widen = Sset.fold (fun v m -> Smap.add v I.top m) widen env in
   let rec discover widen n =
     let entry = apply widen in
-    let was = st.quiet in
-    st.quiet <- true;
-    let out = walk_block st ~fname ~stack (enter entry) arrays I.top body in
-    st.quiet <- was;
+    let out = bind_block st (enter entry) body in
     let changed =
       Smap.fold
         (fun v cur acc ->
@@ -350,36 +400,44 @@ and widen_for_body st ~fname ~stack env arrays ~enter body =
   in
   apply (discover Sset.empty 0)
 
+(* The checking walk.  [mult] is the interval of expected execution
+   counts of the current statement (entry body = 1); it only feeds
+   L010's volume totals.  [stack] guards against recursive call chains
+   (flagged by V011, so we silently stop inlining). *)
+let rec walk_block st ~fname ~stack env arrays mult b =
+  List.fold_left
+    (fun env s -> walk_stmt st ~fname ~stack env arrays mult s)
+    env b
+
 and walk_stmt st ~fname ~stack env arrays mult s =
-  if st.budget <= 0 then env
+  if not (spend st s) then env
   else begin
-    st.budget <- st.budget - 1;
-    let fnote = Fmt.str "in function `%s`" fname in
     let loc = s.loc in
     match s.kind with
     | Comp { flops; iops; divs; vec = _ } ->
-      List.iter (check_div st env loc ~fnote) [ flops; iops; divs ];
+      List.iter (check_div st env loc ~fname) [ flops; iops; divs ];
       let zero e = I.const (eval env e) = Some 0. in
       if zero flops && zero iops && zero divs then
         emit st ~code:"L006" ~severity:Diagnostic.Warning ~loc
-          ~notes:[ fnote ] "comp models no work (flops, iops and divs are all 0)";
+          ~notes:(fun () -> [ in_function fname ])
+          "comp models no work (flops, iops and divs are all 0)";
       env
     | Mem { loads; stores } ->
       List.iter
         (fun (a : access) ->
-          List.iter (check_div st env loc ~fnote) a.index;
-          check_access st env arrays loc ~fnote a)
+          List.iter (check_div st env loc ~fname) a.index;
+          check_access st env arrays loc ~fname a)
         (loads @ stores);
       env
     | Let (v, e) ->
-      check_div st env loc ~fnote e;
+      check_div st env loc ~fname e;
       Smap.add v (eval env e) env
     | If { cond; then_; else_ } -> (
       match cond with
       | Cexpr e ->
-        check_div st env loc ~fnote e;
+        check_div st env loc ~fname e;
         let t = truth env e in
-        record_verdict st s ~fname ~cond_str:(expr_str e) t;
+        record_verdict st s ~fname e t;
         let half = I.mul mult (I.make 0. 1.) in
         let then_mult, else_mult =
           match t with
@@ -400,51 +458,40 @@ and walk_stmt st ~fname ~stack env arrays mult s =
         | I.False -> restrict env env_e
         | I.Unknown -> join_envs env env_t env_e)
       | Cdata { name; p } ->
-        check_div st env loc ~fnote p;
-        check_prob st env loc ~fnote
-          ~what:(Fmt.str "data branch `%s`" name)
+        check_div st env loc ~fname p;
+        check_prob st env loc ~fname
+          ~what:(fun ppf -> Fmt.pf ppf "data branch `%s`" name)
           p;
-        check_hint st loc ~fnote ~what:"data branch" name;
+        check_hint st loc ~fname ~what:"data branch" name;
         let m = I.mul mult (I.make 0. 1.) in
         let env_t = walk_block st ~fname ~stack env arrays m then_ in
         let env_e = walk_block st ~fname ~stack env arrays m else_ in
         join_envs env env_t env_e)
     | For { var; lo; hi; step; body } ->
-      let wenv =
-        widen_for_body st ~fname ~stack env arrays body
-          ~enter:(fun entry ->
-            let li = eval entry lo and hi_i = eval entry hi in
-            Smap.add var (I.make li.I.lo hi_i.I.hi) entry)
-      in
-      List.iter (check_div st wenv loc ~fnote) [ lo; hi; step ];
+      let wenv = widen_for_body st env body ~enter:(enter_for var lo hi) in
+      List.iter (check_div st wenv loc ~fname) [ lo; hi; step ];
       let li = eval wenv lo and hi_i = eval wenv hi and si = eval wenv step in
+      let step_note () =
+        [
+          Fmt.str "step `%s` evaluates to %s" (expr_str step) (I.to_string si);
+          in_function fname;
+        ]
+      in
       if si.I.hi <= 0. then
-        emit st ~code:"L001" ~severity:Diagnostic.Error ~loc
-          ~notes:
-            [
-              Fmt.str "step `%s` evaluates to %s" (expr_str step)
-                (I.to_string si);
-              fnote;
-            ]
+        emit st ~code:"L001" ~severity:Diagnostic.Error ~loc ~notes:step_note
           "loop step is never positive"
       else if si.I.lo <= 0. && Float.is_finite si.I.lo then
         emit st ~code:"L001" ~severity:Diagnostic.Warning ~loc
-          ~notes:
-            [
-              Fmt.str "step `%s` evaluates to %s" (expr_str step)
-                (I.to_string si);
-              fnote;
-            ]
-          "loop step may be non-positive";
+          ~notes:step_note "loop step may be non-positive";
       if hi_i.I.hi < li.I.lo then
         emit st ~code:"L001" ~severity:Diagnostic.Warning ~loc
-          ~notes:
+          ~notes:(fun () ->
             [
               Fmt.str "range `%s` to `%s` evaluates to %s to %s"
                 (expr_str lo) (expr_str hi) (I.to_string li)
                 (I.to_string hi_i);
-              fnote;
-            ]
+              in_function fname;
+            ])
           "loop never executes (empty range)";
       let trips =
         if si.I.hi <= 0. then I.of_int 0
@@ -461,40 +508,38 @@ and walk_stmt st ~fname ~stack env arrays mult s =
       ignore out;
       restrict env wenv
     | While { name; p_continue; max_iter; body } ->
-      let wenv =
-        widen_for_body st ~fname ~stack env arrays body ~enter:(fun e -> e)
-      in
-      List.iter (check_div st wenv loc ~fnote) [ p_continue; max_iter ];
-      check_prob st wenv loc ~fnote
-        ~what:(Fmt.str "while loop `%s` continue" name)
+      let wenv = widen_for_body st env body ~enter:Fun.id in
+      List.iter (check_div st wenv loc ~fname) [ p_continue; max_iter ];
+      check_prob st wenv loc ~fname
+        ~what:(fun ppf -> Fmt.pf ppf "while loop `%s` continue" name)
         p_continue;
-      check_hint st loc ~fnote ~what:"while loop" name;
+      check_hint st loc ~fname ~what:"while loop" name;
       let pi = eval wenv p_continue and mi = eval wenv max_iter in
       if mi.I.hi < 1. then
         emit st ~code:"L001" ~severity:Diagnostic.Warning ~loc
-          ~notes:
+          ~notes:(fun () ->
             [
               Fmt.str "max_iter `%s` evaluates to %s" (expr_str max_iter)
                 (I.to_string mi);
-              fnote;
-            ]
+              in_function fname;
+            ])
           "while loop body never executes (max_iter < 1)"
       else if pi.I.lo >= 1. && mi.I.hi = infinity then
         emit st ~code:"L009" ~severity:Diagnostic.Warning ~loc
-          ~notes:
+          ~notes:(fun () ->
             [
               Fmt.str "p_continue `%s` evaluates to %s" (expr_str p_continue)
                 (I.to_string pi);
               Fmt.str "max_iter `%s` is unbounded" (expr_str max_iter);
-              fnote;
-            ]
+              in_function fname;
+            ])
           "while loop `%s` has p_continue = 1 and no finite iteration cap"
           name;
       let iters = I.make 0. (Float.max 0. mi.I.hi) in
       ignore (walk_block st ~fname ~stack wenv arrays (I.mul mult iters) body);
       restrict env wenv
     | Call (callee, args) ->
-      List.iter (check_div st env loc ~fnote) args;
+      List.iter (check_div st env loc ~fname) args;
       (match Smap.find_opt callee st.funcs with
       | Some f
         when (not (List.mem callee stack))
@@ -510,10 +555,10 @@ and walk_stmt st ~fname ~stack env arrays mult s =
       | _ -> () (* undefined/recursive/mis-aritied: Validate's turf *));
       env
     | Lib { name; args; scale } ->
-      List.iter (check_div st env loc ~fnote) (scale :: args);
+      List.iter (check_div st env loc ~fname) (scale :: args);
       let lower = String.lowercase_ascii name in
-      (* Dead code (mult = 0) and discovery walks transfer nothing. *)
-      if (not st.quiet) && I.const mult <> Some 0. then begin
+      (* Dead code (mult = 0) transfers nothing. *)
+      if I.const mult <> Some 0. then begin
         let vol = I.mul mult (eval env scale) in
         if contains_sub lower "send" then st.sends <- (loc, vol) :: st.sends
         else if contains_sub lower "recv" then
@@ -522,14 +567,18 @@ and walk_stmt st ~fname ~stack env arrays mult s =
       env
     | Return -> env
     | Break { name; p } ->
-      check_div st env loc ~fnote p;
-      check_prob st env loc ~fnote ~what:(Fmt.str "break `%s`" name) p;
-      check_hint st loc ~fnote ~what:"break" name;
+      check_div st env loc ~fname p;
+      check_prob st env loc ~fname
+        ~what:(fun ppf -> Fmt.pf ppf "break `%s`" name)
+        p;
+      check_hint st loc ~fname ~what:"break" name;
       env
     | Continue { name; p } ->
-      check_div st env loc ~fnote p;
-      check_prob st env loc ~fnote ~what:(Fmt.str "continue `%s`" name) p;
-      check_hint st loc ~fnote ~what:"continue" name;
+      check_div st env loc ~fname p;
+      check_prob st env loc ~fname
+        ~what:(fun ppf -> Fmt.pf ppf "continue `%s`" name)
+        p;
+      check_hint st loc ~fname ~what:"continue" name;
       env
   end
 
@@ -566,8 +615,8 @@ let run ?(config = default_config) ?(inputs = []) (p : program) =
       diags = [];
       sends = [];
       recvs = [];
-      budget = 200_000;
-      quiet = false;
+      budget = max_visits;
+      stopped_at = None;
     }
   in
   (* Static reachability from the entry, for L007. *)
@@ -595,21 +644,8 @@ let run ?(config = default_config) ?(inputs = []) (p : program) =
     ignore
       (walk_block st ~fname:f.fname ~stack:[ f.fname ] env (arrays_of st f)
          (I.of_int 1) f.body));
-  (* L010: compare total transferred volumes while only reachable code
-     has contributed. *)
-  (match (List.rev st.sends, List.rev st.recvs) with
-  | (loc, _) :: _, _ :: _ ->
-    let total = List.fold_left (fun acc (_, v) -> I.add acc v) (I.of_int 0) in
-    let s = total st.sends and r = total st.recvs in
-    if I.meet s r = None then
-      emit st ~code:"L010" ~severity:Diagnostic.Warning ~loc
-        ~notes:
-          [
-            Fmt.str "total send volume %s" (I.to_string s);
-            Fmt.str "total receive volume %s" (I.to_string r);
-          ]
-        "send and receive volumes can never balance"
-  | _ -> ());
+  (* Only reachable code has contributed volumes (L010) so far. *)
+  let sends = st.sends and recvs = st.recvs in
   (* L007, then walk the unreachable functions anyway so their local
      defects still surface (with zero execution count). *)
   List.iter
@@ -628,21 +664,57 @@ let run ?(config = default_config) ?(inputs = []) (p : program) =
              (arrays_of st f) (I.of_int 0) f.body)
       end)
     p.funcs;
-  (* L005: a branch is only dead if EVERY inlined visit (call sites can
-     bind parameters differently) decided the condition the same way. *)
-  Hashtbl.iter
-    (fun _sid v ->
-      let fnote = Fmt.str "in function `%s`" v.v_fname in
-      if v.all_true then
-        emit st ~code:"L005" ~severity:Diagnostic.Warning ~loc:v.v_loc
-          ~notes:[ Fmt.str "condition `%s` always holds" v.v_expr; fnote ]
-          "branch condition is statically true; the else branch is dead"
-      else if v.all_false then
-        emit st ~code:"L005" ~severity:Diagnostic.Warning ~loc:v.v_loc
-          ~notes:[ Fmt.str "condition `%s` never holds" v.v_expr; fnote ]
-          "branch condition is statically false; the then branch is dead")
-    st.verdicts;
+  (match st.stopped_at with
+  | Some loc ->
+    (* L011 stands in for L005 and L010, whose verdicts and totals
+       would miss the visits never made. *)
+    emit st ~code:"L011" ~severity:Diagnostic.Warning ~loc
+      ~notes:(fun () ->
+        [
+          "statements reached after this one were not checked";
+          "dead branches (L005) and volume balance (L010) were not judged";
+        ])
+      "lint stopped after %d statement visits" max_visits
+  | None ->
+    (* L010: total send and receive volumes that cannot meet. *)
+    (match (List.rev sends, List.rev recvs) with
+    | (loc, _) :: _, _ :: _ ->
+      let total =
+        List.fold_left (fun acc (_, v) -> I.add acc v) (I.of_int 0)
+      in
+      let s = total sends and r = total recvs in
+      if I.meet s r = None then
+        emit st ~code:"L010" ~severity:Diagnostic.Warning ~loc
+          ~notes:(fun () ->
+            [
+              Fmt.str "total send volume %s" (I.to_string s);
+              Fmt.str "total receive volume %s" (I.to_string r);
+            ])
+          "send and receive volumes can never balance"
+    | _ -> ());
+    (* L005: a branch is only dead if EVERY inlined visit (call sites
+       can bind parameters differently) decided the condition the same
+       way. *)
+    Hashtbl.iter
+      (fun _sid v ->
+        let notes holds () =
+          [
+            Fmt.str "condition `%s` %s" (expr_str v.v_cond) holds;
+            in_function v.v_fname;
+          ]
+        in
+        if v.all_true then
+          emit st ~code:"L005" ~severity:Diagnostic.Warning ~loc:v.v_loc
+            ~notes:(notes "always holds")
+            "branch condition is statically true; the else branch is dead"
+        else if v.all_false then
+          emit st ~code:"L005" ~severity:Diagnostic.Warning ~loc:v.v_loc
+            ~notes:(notes "never holds")
+            "branch condition is statically false; the then branch is dead")
+      st.verdicts);
   let diags = Diagnostic.normalize st.diags in
+  Skope_telemetry.Span.count "lint_visits"
+    (float_of_int (max_visits - st.budget));
   Skope_telemetry.Span.count "lint_diagnostics"
     (float_of_int (List.length diags));
   diags)

@@ -15,13 +15,20 @@
     {- [L007] function unreachable from the entry point}
     {- [L008] data-dependent construct without a profile hint (info)}
     {- [L009] unbounded while loop ([p_continue] = 1 and no finite cap)}
-    {- [L010] send/recv volume asymmetry}}
+    {- [L010] send/recv volume asymmetry}
+    {- [L011] the statement-visit budget ran out (see {!run})}}
 
     The pass subsumes {!Validate.check}'s literal-only loop-step and
     vec checks by evaluating expressions symbolically; it assumes the
     program already passed validation and degrades gracefully (skips,
     never raises) when it has not.  Soundness caveats are documented
-    in DESIGN.md §9. *)
+    in DESIGN.md §9.
+
+    Cost: each loop is widened by walks that track bindings only (no
+    checks, no callees), so a [d]-deep loop nest costs about [d²]
+    statement visits (DESIGN.md §9 has the case that still costs
+    [2^d]), and a diagnostic's message and notes are formatted only
+    when the diagnostic is kept. *)
 
 open Skope_skeleton
 
@@ -40,7 +47,14 @@ val rules : (string * string) list
 
 (** Run the pass.  [inputs] seed the environment exactly as they seed
     {!Skope_bet.Build}; unlisted context variables start at top.
-    Result is {!Diagnostic.normalize}d. *)
+    Result is {!Diagnostic.normalize}d.
+
+    The pass visits at most 200000 statements, widening walks
+    included; the count is added to the [lint_visits] telemetry
+    counter.  When the budget runs out, the statements left are
+    skipped, L005 and L010 are not judged (their verdicts and totals
+    would miss those visits) and one [L011] warning points at the
+    first statement skipped. *)
 val run :
   ?config:config ->
   ?inputs:(string * Skope_bet.Value.t) list ->

@@ -42,8 +42,12 @@ let float_lit f =
   else Printf.sprintf "%.6g" f
 
 let event buf ~t0 (s : Span.t) =
-  let ts_us = (s.start -. t0) *. 1e6 in
-  let dur_us = s.duration *. 1e6 in
+  (* Round both ends to the printed nanosecond and derive the duration
+     from them: rounding [ts] and [dur] apart could push a child's end
+     past its parent's when both ended on the same clock tick. *)
+  let us t = Float.round ((t -. t0) *. 1e9) /. 1e3 in
+  let ts_us = us s.start in
+  let dur_us = us (s.start +. s.duration) -. ts_us in
   Buffer.add_string buf
     (Printf.sprintf
        "{\"name\":\"%s\",\"cat\":\"skope\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{"

@@ -136,6 +136,13 @@ EXPECTED_AUDIT=scripts/golden/audit-fleet.json
 "$SKOPE" audit --workloads --format json | cmp -s - "$EXPECTED_AUDIT" \
     || fail "audit --workloads json differs from $EXPECTED_AUDIT"
 
+echo "smoke: lint report matches the expected file"
+# Every message and note of every bundled workload's diagnostics, so
+# byte equality pins the engine's text as well as its findings.
+EXPECTED_LINT=scripts/golden/lint-workloads.json
+"$SKOPE" lint --workloads --format json | cmp -s - "$EXPECTED_LINT" \
+    || fail "lint --workloads json differs from $EXPECTED_LINT"
+
 # --- server lifecycle -------------------------------------------------
 
 # start_server LOGFILE [serve flags...] -> SERVER_PID, SERVER_PORT.

@@ -5,7 +5,8 @@
    regression pins for the bugs the first fuzz campaign surfaced
    (pretty-printed label duplication on combined load/store, negated
    literal round-trips, generic element types, entry-parameter
-   binding in the simulator), and the audit gate's fallback check. *)
+   binding in the simulator), the audit gate's fallback check, and the
+   lint gate's budget check. *)
 
 module G = Skope_gen.Gen
 module GA = Skope_gen.Archetype
@@ -270,6 +271,44 @@ let test_audit_gate_fallbacks () =
       (String.ends_with ~suffix:"closed forms fell back to literals" f.GF.detail)
   | fs -> Alcotest.failf "expected one audit failure, got %d" (List.length fs)
 
+(* A dead branch calls the head of 18 functions that each call the
+   next twice.  The BET and the simulator skip the dead arm, but lint
+   inlines all 2^18 calls, so its visit budget runs out (L011). *)
+let test_lint_gate_budget () =
+  let fn k =
+    if k = 18 then [ "def f18() {"; "  comp flops=1"; "}" ]
+    else
+      let call = Fmt.str "  call f%d()" (k + 1) in
+      [ Fmt.str "def f%d() {" k; call; call; "}" ]
+  in
+  let src =
+    String.concat "\n"
+      ([ "program fan"; "def main() {"; "  if (1 == 2) { call f1() }";
+         "  comp flops=1"; "}" ]
+      @ List.concat_map fn (List.init 18 (fun k -> k + 1))
+      @ [ "" ])
+  in
+  let case =
+    {
+      G.index = 0;
+      master_seed = 0L;
+      case_seed = 0L;
+      archetype = GA.Compute;
+      name = "fan";
+      program = parse src;
+      inputs = [];
+    }
+  in
+  let lint_fails =
+    List.filter (fun f -> f.GF.gate = GF.Lint) (GF.check_case ~repro:"-" case)
+  in
+  match lint_fails with
+  | [ f ] ->
+    Alcotest.(check string) "names the budget"
+      "lint warning L011: lint stopped after 200000 statement visits"
+      f.GF.detail
+  | fs -> Alcotest.failf "expected one lint failure, got %d" (List.length fs)
+
 let suite =
   [
     ( "gen",
@@ -298,5 +337,7 @@ let suite =
           test_entry_param_binding;
         Alcotest.test_case "audit gate fails on symbolic fallbacks" `Quick
           test_audit_gate_fallbacks;
+        Alcotest.test_case "lint gate fails on budget exhaustion" `Quick
+          test_lint_gate_budget;
       ] );
   ]

@@ -172,6 +172,215 @@ let test_text_rendering () =
       "errors,";                        (* summary line *)
     ]
 
+(* The fixture's full rendered output, byte for byte: every message
+   and note, with [defect_inputs] and with no inputs (then [z = n - n]
+   is unknown, so the certain-zero and out-of-bounds findings go).
+   Disabling one rule must drop exactly that rule's diagnostics. *)
+let defect_text_inputs =
+  {|warning[L006]: comp models no work (flops, iops and divs are all 0)
+  --> defects.skope:7:3
+    |
+  7 |   comp flops=0
+    |   ^
+  = note: in function `helper`
+
+warning[L007]: function `helper` is unreachable from entry `main`
+  --> defects.skope:7:3
+    |
+  7 |   comp flops=0
+    |   ^
+
+warning[L001]: loop never executes (empty range)
+  --> defects.skope:13:11
+     |
+  13 |   @empty: for i = 10 to 1 { comp flops=2 }
+     |           ^
+  = note: range `10` to `1` evaluates to 10 to 1
+  = note: in function `main`
+
+error[L001]: loop step is never positive
+  --> defects.skope:14:9
+     |
+  14 |   @bad: for i = 0 to 7 step z { comp flops=2 }
+     |         ^
+  = note: step `z` evaluates to 0
+  = note: in function `main`
+
+error[L002]: division by zero
+  --> defects.skope:15:3
+     |
+  15 |   comp flops=n/z
+     |   ^
+  = note: divisor `z` is always 0
+  = note: in function `main`
+
+warning[L002]: possible division by zero
+  --> defects.skope:16:28
+     |
+  16 |   @maybe: for k = 0 to 2 { comp iops=n/k }
+     |                            ^
+  = note: divisor `k` has interval [0, 2]
+  = note: in function `main`
+
+error[L003]: data branch `rare` probability is outside [0, 1]
+  --> defects.skope:17:3
+     |
+  17 |   if data rare prob 1.5 { comp flops=3 }
+     |   ^
+  = note: `1.5` evaluates to 1.5
+  = note: in function `main`
+
+info[L008]: data branch `rare` has no profile hint; projection will trust the declared probability
+  --> defects.skope:17:3
+     |
+  17 |   if data rare prob 1.5 { comp flops=3 }
+     |   ^
+  = note: in function `main`
+
+error[L004]: index 0 of array `buf` is always out of bounds
+  --> defects.skope:18:3
+     |
+  18 |   load buf[n]
+     |   ^
+  = note: index `n` evaluates to 64; the dimension is 64
+  = note: in function `main`
+
+warning[L005]: branch condition is statically false; the then branch is dead
+  --> defects.skope:19:3
+     |
+  19 |   if (1 == 2) { comp flops=4 }
+     |   ^
+  = note: condition `1 == 2` never holds
+  = note: in function `main`
+
+info[L008]: while loop `spin` has no profile hint; projection will trust the declared probability
+  --> defects.skope:20:3
+     |
+  20 |   while spin prob 1.0 max u { comp flops=5 }
+     |   ^
+  = note: in function `main`
+
+warning[L009]: while loop `spin` has p_continue = 1 and no finite iteration cap
+  --> defects.skope:20:3
+     |
+  20 |   while spin prob 1.0 max u { comp flops=5 }
+     |   ^
+  = note: p_continue `1.0` evaluates to 1
+  = note: max_iter `u` is unbounded
+  = note: in function `main`
+
+warning[L010]: send and receive volumes can never balance
+  --> defects.skope:21:3
+     |
+  21 |   lib send scale 100
+     |   ^
+  = note: total send volume 100
+  = note: total receive volume 10
+
+4 errors, 7 warnings, 2 infos
+|}
+
+let defect_text_bare =
+  {|warning[L006]: comp models no work (flops, iops and divs are all 0)
+  --> defects.skope:7:3
+    |
+  7 |   comp flops=0
+    |   ^
+  = note: in function `helper`
+
+warning[L007]: function `helper` is unreachable from entry `main`
+  --> defects.skope:7:3
+    |
+  7 |   comp flops=0
+    |   ^
+
+warning[L001]: loop never executes (empty range)
+  --> defects.skope:13:11
+     |
+  13 |   @empty: for i = 10 to 1 { comp flops=2 }
+     |           ^
+  = note: range `10` to `1` evaluates to 10 to 1
+  = note: in function `main`
+
+warning[L002]: possible division by zero
+  --> defects.skope:16:28
+     |
+  16 |   @maybe: for k = 0 to 2 { comp iops=n/k }
+     |                            ^
+  = note: divisor `k` has interval [0, 2]
+  = note: in function `main`
+
+error[L003]: data branch `rare` probability is outside [0, 1]
+  --> defects.skope:17:3
+     |
+  17 |   if data rare prob 1.5 { comp flops=3 }
+     |   ^
+  = note: `1.5` evaluates to 1.5
+  = note: in function `main`
+
+info[L008]: data branch `rare` has no profile hint; projection will trust the declared probability
+  --> defects.skope:17:3
+     |
+  17 |   if data rare prob 1.5 { comp flops=3 }
+     |   ^
+  = note: in function `main`
+
+warning[L005]: branch condition is statically false; the then branch is dead
+  --> defects.skope:19:3
+     |
+  19 |   if (1 == 2) { comp flops=4 }
+     |   ^
+  = note: condition `1 == 2` never holds
+  = note: in function `main`
+
+info[L008]: while loop `spin` has no profile hint; projection will trust the declared probability
+  --> defects.skope:20:3
+     |
+  20 |   while spin prob 1.0 max u { comp flops=5 }
+     |   ^
+  = note: in function `main`
+
+warning[L009]: while loop `spin` has p_continue = 1 and no finite iteration cap
+  --> defects.skope:20:3
+     |
+  20 |   while spin prob 1.0 max u { comp flops=5 }
+     |   ^
+  = note: p_continue `1.0` evaluates to 1
+  = note: max_iter `u` is unbounded
+  = note: in function `main`
+
+warning[L010]: send and receive volumes can never balance
+  --> defects.skope:21:3
+     |
+  21 |   lib send scale 100
+     |   ^
+  = note: total send volume 100
+  = note: total receive volume 10
+
+1 error, 7 warnings, 2 infos
+|}
+
+let test_full_text () =
+  let program = Skeleton.Parser.parse ~file:"defects.skope" defect_source in
+  let render ds = Fmt.str "%a" (D.render_all ~source:defect_source ()) ds in
+  List.iter
+    (fun (label, inputs, expected) ->
+      let full = E.run ~inputs program in
+      Alcotest.(check string) (label ^ ": rendered text") expected
+        (render full);
+      List.iter
+        (fun code ->
+          let config = { E.default_config with E.disabled = [ code ] } in
+          Alcotest.(check string)
+            (Fmt.str "%s: disabling %s drops only its diagnostics" label code)
+            (render (List.filter (fun d -> d.D.code <> code) full))
+            (render (E.run ~config ~inputs program)))
+        all_rules)
+    [
+      ("with inputs", defect_inputs, defect_text_inputs);
+      ("without inputs", [], defect_text_bare);
+    ]
+
 let test_json_rendering () =
   let ds = lint_defects () in
   let json = J.to_string (D.list_to_json ds) in
@@ -285,6 +494,82 @@ let test_subsumes_validate () =
     (List.exists
        (fun d -> d.D.code = "L001" && d.D.severity = D.Error)
        (E.run program))
+
+(* --- the visit budget ------------------------------------------------ *)
+
+(* Statement visits of one [E.run], read off the process-wide counter. *)
+let visits f =
+  let count () =
+    Option.value ~default:0.
+      (List.assoc_opt "lint_visits" (Telemetry.Span.counters ()))
+  in
+  let before = count () in
+  let r = f () in
+  (int_of_float (count () -. before), r)
+
+(* [d] nested 2-trip loops around a loop-carried rebind, then [tail]. *)
+let nest_source d tail =
+  let indent k = String.make (2 * k) ' ' in
+  String.concat "\n"
+    ([ "program nest"; "def main()"; "{"; "  let x = 0" ]
+    @ List.init d (fun k -> Fmt.str "%sfor i%d = 0 to 1 {" (indent (k + 1)) k)
+    @ [ indent (d + 1) ^ "comp flops=1"; indent (d + 1) ^ "let x = x + 1" ]
+    @ List.init d (fun k -> indent (d - k) ^ "}")
+    @ tail @ [ "}"; "" ])
+
+(* Discovery walks track bindings only, so the nest costs about d²
+   visits; walking each nested body again would cost 2^d. *)
+let test_nest_visits () =
+  let program = Skeleton.Parser.parse ~file:"nest.skope" (nest_source 12 []) in
+  let n, ds = visits (fun () -> E.run program) in
+  Alcotest.(check (list string)) "the nest lints clean" []
+    (List.map (fun d -> d.D.code) ds);
+  Alcotest.(check bool)
+    (Fmt.str "a 12-deep nest takes %d visits: each statement once or more, \
+              under 400 in all" n)
+    true
+    (n >= 15 && n < 400)
+
+let test_deep_nest_tail () =
+  let program =
+    Skeleton.Parser.parse ~file:"nest.skope"
+      (nest_source 16 [ "  comp flops=1/0" ])
+  in
+  Alcotest.(check bool) "the division after a 16-deep nest is an L002 error"
+    true
+    (List.exists
+       (fun d -> d.D.code = "L002" && d.D.severity = D.Error)
+       (E.run program))
+
+(* Each of 18 functions calls the next twice: 2^18 inlined calls, more
+   than any budget, so the [1/0] after them is never reached. *)
+let fan_out_source =
+  String.concat "\n"
+    ([ "program fan"; "def main()"; "{"; "  call f1()"; "  comp flops=1/0"; "}" ]
+    @ List.concat
+        (List.init 17 (fun k ->
+             let callee = Fmt.str "  call f%d()" (k + 2) in
+             [ Fmt.str "def f%d()" (k + 1); "{"; callee; callee; "}" ]))
+    @ [ "def f18()"; "{"; "  comp flops=1"; "}"; "" ])
+
+let test_budget_exhaustion () =
+  let program = Skeleton.Parser.parse ~file:"fan.skope" fan_out_source in
+  let n, ds = visits (fun () -> E.run program) in
+  Alcotest.(check int) "the whole budget is spent" 200_000 n;
+  Alcotest.(check bool) "L011 is a listed rule" true
+    (List.mem_assoc "L011" E.rules);
+  match ds with
+  | [ d ] ->
+    Alcotest.(check string) "only L011 is reported" "L011" d.D.code;
+    Alcotest.(check bool) "as a warning" true (d.D.severity = D.Warning);
+    Alcotest.(check string) "message" "lint stopped after 200000 statement visits"
+      d.D.message;
+    Alcotest.(check bool) "at a skipped statement inside the call tree"
+      true
+      (d.D.loc.Skeleton.Loc.line > 6)
+  | ds ->
+    Alcotest.failf "expected one L011, got [%s]"
+      (String.concat "; " (List.map (fun d -> d.D.code) ds))
 
 (* --- lexer/parser locations end-to-end ------------------------------- *)
 
@@ -401,6 +686,7 @@ let suite =
         Alcotest.test_case "severities" `Quick test_severities;
         Alcotest.test_case "locations" `Quick test_locations;
         Alcotest.test_case "text rendering" `Quick test_text_rendering;
+        Alcotest.test_case "full rendered text" `Quick test_full_text;
         Alcotest.test_case "json rendering" `Quick test_json_rendering;
         Alcotest.test_case "rule enable/disable" `Quick test_rule_config;
         Alcotest.test_case "check_exn rejects errors" `Quick
@@ -414,6 +700,15 @@ let suite =
           test_loop_widening;
         Alcotest.test_case "subsumes the literal validator" `Quick
           test_subsumes_validate;
+      ] );
+    ( "lint.budget",
+      [
+        Alcotest.test_case "nested loops cost quadratic visits" `Quick
+          test_nest_visits;
+        Alcotest.test_case "a deep nest does not hide what follows" `Quick
+          test_deep_nest_tail;
+        Alcotest.test_case "budget exhaustion is reported" `Quick
+          test_budget_exhaustion;
       ] );
     ( "lint.locations",
       [
