@@ -1,10 +1,12 @@
-(* Benchmark harness: regenerates every table and figure of the
-   paper's evaluation (§VII), plus the quantitative claims made in the
+(* Paper harness: regenerates every table and figure of the paper's
+   evaluation (§VII), plus the quantitative claims made in the
    abstract and §IV (BET size, input-size-independent analysis time,
    mean selection quality).  See DESIGN.md §5 for the experiment
-   index and EXPERIMENTS.md for paper-vs-measured commentary.
+   index and EXPERIMENTS.md for paper-vs-measured commentary.  The
+   serving stack's performance benchmark is bench/serve.
 
-   Everything prints to stdout; `dune exec bench/main.exe`. *)
+   Everything prints to stdout; `dune exec bench/main.exe`, or
+   `-- --csv DIR` to also write the tables as CSV files. *)
 
 open Core
 module P = Pipeline
@@ -628,7 +630,12 @@ let bechamel_section () =
       ~lib_work:(Hw.Libmix.work_fn Hw.Libmix.default)
       ~inputs program
   in
-  let projection = Analysis.Perf.project bgq built in
+  (* Production prices a flat arena; flattening is a one-time cost per
+     BET, so it stays outside the timed closure. *)
+  let arena = Bet.Arena.of_build built in
+  let projection =
+    Analysis.Arena_price.projection arena (Analysis.Arena_price.price arena bgq)
+  in
   let tests =
     [
       Test.make ~name:"parse sord skeleton" (Staged.stage (fun () ->
@@ -640,8 +647,8 @@ let bechamel_section () =
             (Bet.Build.build ~hints
                ~lib_work:(Hw.Libmix.work_fn Hw.Libmix.default)
                ~inputs program)));
-      Test.make ~name:"roofline projection (BG/Q)" (Staged.stage (fun () ->
-          ignore (Analysis.Perf.project bgq built)));
+      Test.make ~name:"arena pricing (BG/Q)" (Staged.stage (fun () ->
+          ignore (Analysis.Arena_price.price arena bgq)));
       Test.make ~name:"hot spot selection" (Staged.stage (fun () ->
           ignore
             (Analysis.Hotspot.select
@@ -687,733 +694,13 @@ let bechamel_section () =
         results)
     tests
 
-(* ------------------------------------------------------------------ *)
-(* The serving layer: cache-warm sweep throughput through the skoped
-   dispatcher (no sockets — this measures request handling itself). *)
-
-let service_section () =
-  section "service_throughput"
-    "skoped dispatcher: cold vs cache-warm sweep throughput (the 'serve \
-     thousands of what-if queries' scenario)";
-  let module D = Skope_service.Dispatch in
-  let dispatch = D.create () in
-  let sweep_body =
-    {|{"kind":"sweep","workload":"sord","machine":"bgq","axis":"bw","values":[4,8,16,32,64,128,256,512]}|}
-  in
-  let analyze_body = {|{"kind":"analyze","workload":"sord","machine":"bgq"}|} in
-  let time_one body =
-    let t0 = Unix.gettimeofday () in
-    ignore (D.handle dispatch body);
-    Unix.gettimeofday () -. t0
-  in
-  let cold = time_one sweep_body in
-  let reps = 200 in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to reps do
-    ignore (D.handle dispatch sweep_body)
-  done;
-  let warm_total = Unix.gettimeofday () -. t0 in
-  let warm = warm_total /. float_of_int reps in
-  Fmt.pr
-    "8-point bandwidth sweep of SORD on BG/Q:@.  cold (8 BET projections)  \
-     %8.2f ms@.  cache-warm (x%d)         %8.3f ms  -> %.0f sweeps/s, %.0f \
-     projections/s, %.0fx speedup@."
-    (cold *. 1e3) reps (warm *. 1e3)
-    (1. /. warm)
-    (8. /. warm) (cold /. warm);
-  let t1 = Unix.gettimeofday () in
-  for _ = 1 to reps do
-    ignore (D.handle dispatch analyze_body)
-  done;
-  let a_warm = (Unix.gettimeofday () -. t1) /. float_of_int reps in
-  Fmt.pr "cache-warm analyze: %.3f ms -> %.0f req/s@." (a_warm *. 1e3)
-    (1. /. a_warm);
-  let v = Skope_service.Metrics.view dispatch.D.metrics in
-  Fmt.pr "dispatcher cache hit rate over the run: %s (%d lookups)@."
-    (pct v.Skope_service.Metrics.hit_rate)
-    (v.Skope_service.Metrics.cache_hits + v.Skope_service.Metrics.cache_misses)
-
-(* ------------------------------------------------------------------ *)
-(* Design-space exploration: a grid shares one BET, so the marginal
-   cost per point is a projection, not a pipeline run.  The acceptance
-   bar for lib/explore is >= 3x over independent analyzes on a
-   16-point grid. *)
-
-let explore_section () =
-  section "explore_reuse"
-    "skope explore: shared-BET grid evaluation vs independent analyzes \
-     (16-point bw x freq grid)";
-  let module Explore = Skope_explore.Explore in
-  let w = Workloads.Registry.find_exn "sord" in
-  let scale = 0.25 in
-  let axes =
-    [
-      Hw.Designspace.Mem_bandwidth [ 7.; 14.; 28.; 56. ];
-      Hw.Designspace.Frequency [ 0.8; 1.2; 1.6; 3.2 ];
-    ]
-  in
-  let pts = Explore.grid_points bgq axes in
-  let n = List.length pts in
-  (* Independent path: the full pipeline (make, validate, lint, hints,
-     BET build, projection) once per grid point. *)
-  let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun (p : Hw.Designspace.point) ->
-      ignore
-        (P.analyze ~machine:p.Hw.Designspace.p_machine ~workload:w ~scale ()))
-    pts;
-  let indep = Unix.gettimeofday () -. t0 in
-  (* Shared path: prepare once, project per point (timed including the
-     one-time prepare, so the comparison is end to end). *)
-  let t1 = Unix.gettimeofday () in
-  let prepared = P.Prepared.create ~workload:w ~scale () in
-  let r1 = Explore.evaluate ~jobs:1 prepared pts in
-  let shared1 = Unix.gettimeofday () -. t1 in
-  let jobs = min (Domain.recommended_domain_count ()) n in
-  let t2 = Unix.gettimeofday () in
-  let prepared2 = P.Prepared.create ~workload:w ~scale () in
-  let rn = Explore.evaluate ~jobs prepared2 pts in
-  let sharedn = Unix.gettimeofday () -. t2 in
-  Fmt.pr "%d-point grid of SORD (scale %.2f) around BG/Q:@." n scale;
-  Fmt.pr "  %d independent analyzes (BET per point)  %8.1f ms@." n
-    (indep *. 1e3);
-  Fmt.pr "  shared BET, 1 domain                     %8.1f ms  -> %.1fx@."
-    (shared1 *. 1e3) (indep /. shared1);
-  Fmt.pr "  shared BET, %d domains                    %8.1f ms  -> %.1fx@."
-    jobs (sharedn *. 1e3) (indep /. sharedn);
-  if indep /. shared1 < 3. then
-    Fmt.pr "  WARNING: shared-BET speedup below the 3x acceptance bar@.";
-  emit_table ~file:"explore_pareto.csv"
-    (Table.make
-       ~title:
-         (Fmt.str
-            "Pareto frontier over (projected time, hardware cost proxy): %d \
-             of %d points"
-            (List.length r1.Explore.pareto) n)
-       ~headers:[ "point"; "projected ms"; "cost proxy" ]
-       ~aligns:Table.[ Left; Right; Right ]
-       (List.map
-          (fun (p : Explore.point) ->
-            [
-              p.Explore.tag;
-              Fmt.str "%.2f" (p.Explore.time *. 1e3);
-              Fmt.str "%.1f" (p.Explore.cost);
-            ])
-          r1.Explore.pareto));
-  (* Parallel evaluation must price the grid identically. *)
-  let same =
-    List.for_all2
-      (fun (a : Explore.point) (b : Explore.point) ->
-        Float.equal a.Explore.time b.Explore.time)
-      r1.Explore.points rn.Explore.points
-  in
-  Fmt.pr "@.parallel evaluation matches sequential: %s@."
-    (if same then "yes" else "NO")
-
-(* ------------------------------------------------------------------ *)
-(* Arena pricing: per-point re-pricing cost on a 1024-point grid.  The
-   acceptance bar for the arena is >= 5x under the shared-BET tree
-   walk (the Perf.project oracle) per point, with bit-identical results
-   (the differential suite gates the identity; this section reports
-   the cost). *)
-
-let arena_section ?(record = fun _ _ -> ()) ?(scale = 0.25) () =
-  section "arena_projection"
-    "arena BET engine: per-point re-pricing on a 1024-point grid (tree \
-     walk vs arena full pass vs arena delta chain)";
-  let module Explore = Skope_explore.Explore in
-  let module AP = Analysis.Arena_price in
-  let w = Workloads.Registry.find_exn "sord" in
-  (* Five 4-level axes = 4^5 = 1024 points.  The last axis varies
-     fastest in grid order, so most consecutive points are single-axis
-     moves — the case the delta chain exists for. *)
-  let axes =
-    [
-      Hw.Designspace.Frequency [ 0.8; 1.2; 1.6; 3.2 ];
-      Hw.Designspace.Issue_width [ 1.; 2.; 4.; 8. ];
-      Hw.Designspace.Mem_bandwidth [ 7.; 14.; 28.; 56. ];
-      Hw.Designspace.Mem_latency [ 40.; 80.; 160.; 320. ];
-      Hw.Designspace.Vector_width [ 1; 2; 4; 8 ];
-    ]
-  in
-  let pts = Explore.grid_points bgq axes in
-  let n = List.length pts in
-  let machines =
-    Array.of_list
-      (List.map (fun (p : Hw.Designspace.point) -> p.Hw.Designspace.p_machine) pts)
-  in
-  (* The one-time prepare/flatten is excluded: the bar is the marginal
-     pricing cost per grid point.  Hot-spot selection is excluded from
-     all three rows alike — it is the same downstream stage whichever
-     code priced the point. *)
-  let prepared = P.Prepared.create ~workload:w ~scale () in
-  let built = P.Prepared.built prepared in
-  let arena = Bet.Arena.of_build built in
-  let best f =
-    ignore (f ());
-    let b = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      ignore (f ());
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !b then b := dt
-    done;
-    !b
-  in
-  (* Baseline: the recursive tree walk, once per point. *)
-  let tree_s =
-    best (fun () ->
-        Array.iter (fun m -> ignore (Analysis.Perf.project m built)) machines)
-  in
-  (* Full arena pass per point: flat loops, no delta reuse. *)
-  let full_s =
-    best (fun () -> Array.iter (fun m -> ignore (AP.price arena m)) machines)
-  in
-  (* Delta chain: consecutive grid points re-price dependent nodes
-     only. *)
-  let delta_s =
-    best (fun () ->
-        let prev = ref None in
-        Array.iter
-          (fun m ->
-            let pr =
-              match !prev with
-              | None -> AP.price arena m
-              | Some pr -> AP.price_delta ~prev:pr arena m
-            in
-            prev := Some pr)
-          machines)
-  in
-  let us x = x /. float_of_int n *. 1e6 in
-  Fmt.pr "%d-point grid of SORD (scale %.2f) around BG/Q, per point:@." n scale;
-  Fmt.pr "  tree walk (shared BET)               %8.2f us@." (us tree_s);
-  Fmt.pr "  arena, full pass                     %8.2f us  -> %.1fx@."
-    (us full_s) (tree_s /. full_s);
-  Fmt.pr "  arena, delta chain                   %8.2f us  -> %.1fx@."
-    (us delta_s) (tree_s /. delta_s);
-  if tree_s /. delta_s < 5. then
-    Fmt.pr "  WARNING: arena delta speedup below the 5x acceptance bar@.";
-  (* Bit-for-bit identity of the projection API against the tree-walk
-     oracle, on every grid point. *)
-  let ra = Explore.evaluate ~jobs:1 prepared pts in
-  let same =
-    List.for_all
-      (fun (a : Explore.point) ->
-        let t = Analysis.Perf.project a.Explore.machine built in
-        Float.equal t.Analysis.Perf.total_time a.Explore.time
-        && t.Analysis.Perf.blocks = a.Explore.outcome.P.Prepared.o_blocks)
-      ra.Explore.points
-  in
-  Fmt.pr "@.arena matches tree on all %d points: %s@." n
-    (if same then "yes" else "NO");
-  record "arena_tree_us_per_point" (us tree_s);
-  record "arena_full_us_per_point" (us full_s);
-  record "arena_delta_us_per_point" (us delta_s);
-  record "arena_delta_speedup_x" (tree_s /. delta_s);
-  emit_table ~file:"arena_projection.csv"
-    (Table.make
-       ~title:(Fmt.str "arena engine, %d-point grid, per-point cost" n)
-       ~headers:[ "engine"; "us/point"; "speedup" ]
-       ~aligns:Table.[ Left; Right; Right ]
-       [
-         [ "tree"; Fmt.str "%.2f" (us tree_s); "1.0" ];
-         [ "arena"; Fmt.str "%.2f" (us full_s); Fmt.str "%.1f" (tree_s /. full_s) ];
-         [ "arena+delta"; Fmt.str "%.2f" (us delta_s);
-           Fmt.str "%.1f" (tree_s /. delta_s) ];
-       ]);
-  (us tree_s, us full_s, us delta_s, tree_s /. delta_s, same, n)
-
-(* ------------------------------------------------------------------ *)
-(* Cluster routing: cache-affinity scaling across shard counts.  The
-   resource sharding multiplies is cache capacity: the working set (24
-   distinct analyze fingerprints, cycled round-robin) overflows one
-   shard's 12-entry LRU — cyclic access against a smaller LRU evicts
-   every entry before its reuse, so every request pays a full BET
-   projection — while 4 shards hold ~6 fingerprints each and serve
-   every repeat from cache.  Requests go through a real router over
-   TCP, so the numbers include routing and transport. *)
-
-let cluster_working_set = 24
-let cluster_cache_capacity = 12
-let cluster_rounds = 4
-
-let cluster_measure shards =
-  let module Local = Skope_cluster.Local in
-  let module C = Skope_service.Client in
-  let module A = Skope_service.Service_api in
-  let module J = Report.Json in
-  let bodies =
-    Array.init cluster_working_set (fun i ->
-        A.to_body
-          (A.analyze
-             ~opts:
-               {
-                 A.default_query_opts with
-                 A.scale = Some (0.2 +. (0.002 *. float_of_int i));
-               }
-             ~workload:"sord" ~machine:"bgq" ()))
-  in
-  let c =
-    Local.start ~shards ~cache_capacity:cluster_cache_capacity ~shard_pool:2
-      ~probe_interval_s:1.0 ()
-  in
-  Fun.protect
-    ~finally:(fun () -> Local.stop c)
-    (fun () ->
-      let port = Local.router_port c in
-      let issue body =
-        match C.request ~host:"127.0.0.1" ~port body with
-        | Ok _ -> ()
-        | Error e -> failwith ("cluster bench: " ^ C.error_message e)
-      in
-      (* Warm round: populate whatever fits each shard's LRU. *)
-      Array.iter issue bodies;
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to cluster_rounds do
-        Array.iter issue bodies
-      done;
-      let dt = Unix.gettimeofday () -. t0 in
-      let rps =
-        float_of_int (cluster_rounds * cluster_working_set) /. dt
-      in
-      (* Cluster-wide cache counters out of cluster_stats: with
-         disjoint per-shard caches every fingerprint is built (missed)
-         on exactly one shard. *)
-      let hits, misses =
-        match C.request ~host:"127.0.0.1" ~port (A.to_body A.Cluster_stats) with
-        | Error e -> failwith ("cluster bench: " ^ C.error_message e)
-        | Ok resp -> (
-          match J.of_string resp with
-          | Error e -> failwith ("cluster bench: " ^ e)
-          | Ok j -> (
-            match
-              Option.bind (J.member "result" j) (J.member "members")
-            with
-            | Some (J.List members) ->
-              List.fold_left
-                (fun (h, m) mem ->
-                  let metric key =
-                    match
-                      Option.bind
-                        (Option.bind (J.member "stats" mem)
-                           (J.member "metrics"))
-                        (J.member key)
-                    with
-                    | Some (J.Int n) -> n
-                    | _ -> 0
-                  in
-                  (h + metric "cache_hits", m + metric "cache_misses"))
-                (0, 0) members
-            | _ -> failwith "cluster bench: cluster_stats has no members"))
-      in
-      (rps, hits, misses))
-
-let cluster_section ?(record = fun _ _ -> ()) () =
-  section "cluster_scaling"
-    (Fmt.str
-       "cluster router: cached throughput vs shard count (working set %d \
-        fingerprints, per-shard LRU capacity %d)"
-       cluster_working_set cluster_cache_capacity)
-  ;
-  let results =
-    List.map (fun shards -> (shards, cluster_measure shards)) [ 1; 2; 4 ]
-  in
-  let rps1, _, _ = List.assoc 1 results in
-  emit_table ~file:"cluster_scaling.csv"
-    (Table.make
-       ~title:
-         (Fmt.str "%d requests per run through the router, after one warm \
-                   round" (cluster_rounds * cluster_working_set))
-       ~headers:[ "shards"; "req/s"; "hits"; "misses"; "vs 1 shard" ]
-       ~aligns:Table.[ Right; Right; Right; Right; Right ]
-       (List.map
-          (fun (shards, (rps, hits, misses)) ->
-            [
-              string_of_int shards;
-              Fmt.str "%.0f" rps;
-              string_of_int hits;
-              string_of_int misses;
-              Fmt.str "%.1fx" (rps /. rps1);
-            ])
-          results));
-  List.iter
-    (fun (shards, (rps, _, _)) ->
-      record (Fmt.str "cluster_cached_rps_%d" shards) rps)
-    results;
-  let rps4, _, misses4 = List.assoc 4 results in
-  record "cluster_scaling_4x_over_1x" (rps4 /. rps1);
-  Fmt.pr "@.4-shard vs 1-shard cached throughput: %.1fx (acceptance: >= 3x)@."
-    (rps4 /. rps1);
-  if rps4 /. rps1 < 3. then
-    Fmt.pr "  WARNING: cluster scaling below the 3x acceptance bar@.";
-  Fmt.pr
-    "4-shard cluster-wide misses: %d for a %d-fingerprint working set — each \
-     fingerprint was built on exactly one shard (disjoint caches)@."
-    misses4 cluster_working_set;
-  results
-
-(* ------------------------------------------------------------------ *)
-(* Lint throughput: the interval-domain pass runs before every
-   projection, so it must be cheap relative to a BET evaluation. *)
-
-let lint_section () =
-  section "lint_throughput"
-    "skope lint: interval-domain abstract interpretation throughput";
-  let reps = 100 in
-  List.iter
-    (fun (w : Workloads.Registry.t) ->
-      let program, inputs = w.make ~scale:w.default_scale in
-      let n_diags = List.length (Lint.Engine.run ~inputs program) in
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to reps do
-        ignore (Lint.Engine.run ~inputs program)
-      done;
-      let per = (Unix.gettimeofday () -. t0) /. float_of_int reps in
-      Fmt.pr "  %-12s %8.3f ms/run  %6.0f runs/s  (%d diagnostics)@." w.name
-        (per *. 1e3)
-        (1. /. per)
-        n_diags)
-    Workloads.Registry.all
-
-(* ------------------------------------------------------------------ *)
-(* Audit throughput: symbolic derivation plus all eight A rules (the
-   scale-sweep probes re-derive the tree several times), so it is the
-   most expensive static pass; it runs once per `skope audit` target
-   and has to stay within interactive latency. *)
-
-let audit_section () =
-  section "audit_throughput"
-    "skope audit: symbolic derivation + scaling/deadlock rules";
-  let reps = 20 in
-  List.iter
-    (fun (w : Workloads.Registry.t) ->
-      let scale = w.default_scale in
-      let run () = Pipeline.audit ~workload:w ~scale () in
-      let n_diags = List.length (run ()).Lint.Audit.diags in
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to reps do
-        ignore (run ())
-      done;
-      let per = (Unix.gettimeofday () -. t0) /. float_of_int reps in
-      Fmt.pr "  %-12s %8.3f ms/run  %6.0f runs/s  (%d diagnostics)@." w.name
-        (per *. 1e3)
-        (1. /. per)
-        n_diags)
-    Workloads.Registry.all
-
-(* ------------------------------------------------------------------ *)
-(* Telemetry overhead: the tracer must be free when disabled and
-   cheap when collecting — instrumented phases run once per request,
-   so even the enabled cost only has to beat a projection (~ms). *)
-
-let telemetry_section () =
-  section "telemetry_overhead"
-    "span tracing: disabled fast path vs Chrome-sink collection";
-  let module Span = Telemetry.Span in
-  let module Chrome = Telemetry.Chrome in
-  let reps = 1_000_000 in
-  let bench f =
-    let t0 = Unix.gettimeofday () in
-    let acc = ref 0 in
-    for i = 1 to reps do
-      acc := f i
-    done;
-    ignore !acc;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps
-  in
-  let baseline = bench (fun i -> i + 1) in
-  Span.clear_sinks ();
-  let disabled = bench (fun i -> Span.with_ ~name:"noop" (fun () -> i + 1)) in
-  let collector = Chrome.create () in
-  let sink = Chrome.sink collector in
-  Span.add_sink sink;
-  let enabled_reps = 100_000 in
-  let t0 = Unix.gettimeofday () in
-  let acc = ref 0 in
-  for i = 1 to enabled_reps do
-    acc := Span.with_ ~name:"collected" (fun () -> i + 1)
-  done;
-  ignore !acc;
-  let enabled = (Unix.gettimeofday () -. t0) /. float_of_int enabled_reps in
-  Span.remove_sink sink;
-  Fmt.pr "  bare closure call        %8.1f ns@." (baseline *. 1e9);
-  Fmt.pr "  span, no sink            %8.1f ns  (overhead %.1f ns)@."
-    (disabled *. 1e9)
-    ((disabled -. baseline) *. 1e9);
-  Fmt.pr "  span, chrome sink        %8.1f ns  (%d spans collected)@."
-    (enabled *. 1e9) (Chrome.length collector);
-  let w = Workloads.Registry.find_exn "pedagogical" in
-  let run () =
-    ignore (P.analyze ~machine:bgq ~workload:w ~scale:w.default_scale ())
-  in
-  let pipeline_reps = 50 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to pipeline_reps do
-      f ()
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int pipeline_reps
-  in
-  let untraced = time run in
-  let c2 = Chrome.create () in
-  let sink2 = Chrome.sink c2 in
-  Span.add_sink sink2;
-  let traced = time run in
-  Span.remove_sink sink2;
-  Fmt.pr "  pipeline untraced        %8.3f ms/run@." (untraced *. 1e3);
-  Fmt.pr "  pipeline traced          %8.3f ms/run  (+%.1f%%, %d spans)@."
-    (traced *. 1e3)
-    (100. *. ((traced /. Float.max 1e-12 untraced) -. 1.))
-    (Chrome.length c2)
-
-(* ------------------------------------------------------------------ *)
-(* Flight recorder overhead: the recorder rides the span-sink bus and
-   is always on in the server, so its marginal cost on the hot path —
-   a cache-warm analyze request — is the number that matters.  We
-   compare the same dispatcher loop with the sink bus silenced
-   (begin/commit bookkeeping still runs) against a fresh dispatcher
-   whose recorder sink is the only subscriber. *)
-
-let recorder_section ?(record = fun _ _ -> ()) () =
-  section "recorder_overhead"
-    "flight recorder: marginal cost on the cached-hit dispatch path";
-  let module Span = Telemetry.Span in
-  let module D = Skope_service.Dispatch in
-  (* A fixed trace id keeps the cache-hit responses byte-identical so
-     both loops serialize exactly the same bytes. *)
-  let body =
-    {|{"kind":"analyze","workload":"sord","machine":"bgq","trace":{"id":"bench-rec"}}|}
-  in
-  let reps = 2_000 in
-  let time d =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      ignore (D.handle d body)
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps
-  in
-  Span.clear_sinks ();
-  let d_off = D.create () in
-  (* Drop the recorder sink that [create] just installed: the baseline
-     keeps the per-request begin/commit bookkeeping but no span
-     grouping and no ring writes. *)
-  Span.clear_sinks ();
-  ignore (D.handle d_off body);
-  let off = time d_off in
-  Span.clear_sinks ();
-  let d_on = D.create () in
-  ignore (D.handle d_on body);
-  let on = time d_on in
-  let pct = 100. *. ((on /. Float.max 1e-12 off) -. 1.) in
-  Fmt.pr "  cached hit, recorder off %8.1f us/req@." (off *. 1e6);
-  Fmt.pr "  cached hit, recorder on  %8.1f us/req  (+%.1f%%)@." (on *. 1e6) pct;
-  record "recorder_off_us" (off *. 1e6);
-  record "recorder_on_us" (on *. 1e6);
-  record "recorder_hit_overhead_pct" pct;
-  (off *. 1e6, on *. 1e6, pct)
-
-(* ------------------------------------------------------------------ *)
-(* Quick mode: a seconds-long subset for CI — dispatcher throughput,
-   lint throughput, telemetry overhead and a small shared-BET explore
-   grid; no paper-scale simulations.  `--json FILE` writes the
-   headline numbers as a machine-readable artifact so runs can be
-   compared across commits. *)
-
-let quick_run json_file =
-  let module J = Report.Json in
-  let module D = Skope_service.Dispatch in
-  let metrics = ref [] in
-  let record key v = metrics := (key, v) :: !metrics in
-  let t_start = Unix.gettimeofday () in
-  section "quick" "CI quick benchmark (seconds-long subset)";
-  (* dispatcher: cache-warm request throughput *)
-  let dispatch = D.create () in
-  let analyze_body = {|{"kind":"analyze","workload":"sord","machine":"bgq"}|} in
-  let sweep_body =
-    {|{"kind":"sweep","workload":"sord","machine":"bgq","axis":"bw","values":[7,14,28,56]}|}
-  in
-  ignore (D.handle dispatch analyze_body);
-  ignore (D.handle dispatch sweep_body);
-  let time_reps reps f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps
-  in
-  let a_warm = time_reps 200 (fun () -> ignore (D.handle dispatch analyze_body)) in
-  let s_warm = time_reps 100 (fun () -> ignore (D.handle dispatch sweep_body)) in
-  Fmt.pr "  dispatcher, cache-warm analyze   %8.0f req/s@." (1. /. a_warm);
-  Fmt.pr "  dispatcher, cache-warm sweep     %8.0f req/s@." (1. /. s_warm);
-  record "dispatch_analyze_warm_req_per_s" (1. /. a_warm);
-  record "dispatch_sweep_warm_req_per_s" (1. /. s_warm);
-  (* lint: one representative workload *)
-  let w = Workloads.Registry.find_exn "sord" in
-  let program, inputs = w.make ~scale:w.default_scale in
-  let lint_per = time_reps 50 (fun () -> ignore (Lint.Engine.run ~inputs program)) in
-  Fmt.pr "  lint sord                        %8.0f runs/s@." (1. /. lint_per);
-  record "lint_sord_runs_per_s" (1. /. lint_per);
-  (* telemetry: the disabled fast path *)
-  Telemetry.Span.clear_sinks ();
-  let span_per =
-    time_reps 200_000 (fun () ->
-        ignore (Telemetry.Span.with_ ~name:"noop" (fun () -> 0)))
-  in
-  Fmt.pr "  span, no sink                    %8.1f ns@." (span_per *. 1e9);
-  record "span_disabled_ns" (span_per *. 1e9);
-  (* explore: shared-BET reuse on a small grid *)
-  let module Explore = Skope_explore.Explore in
-  let scale = 0.1 in
-  let axes =
-    [ Hw.Designspace.Mem_bandwidth [ 7.; 28. ];
-      Hw.Designspace.Frequency [ 0.8; 1.6 ] ]
-  in
-  let pts = Explore.grid_points bgq axes in
-  let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun (p : Hw.Designspace.point) ->
-      ignore (P.analyze ~machine:p.Hw.Designspace.p_machine ~workload:w ~scale ()))
-    pts;
-  let indep = Unix.gettimeofday () -. t0 in
-  let t1 = Unix.gettimeofday () in
-  let prepared = P.Prepared.create ~workload:w ~scale () in
-  ignore (Explore.evaluate ~jobs:1 prepared pts);
-  let shared = Unix.gettimeofday () -. t1 in
-  Fmt.pr "  explore shared-BET speedup       %8.1fx (%d-point grid)@."
-    (indep /. shared) (List.length pts);
-  record "explore_shared_speedup_x" (indep /. shared);
-  (* arena engine: per-point cost on the 1024-point grid *)
-  let arena_tree_us, arena_full_us, arena_delta_us, arena_speedup,
-      arena_identical, arena_points =
-    arena_section ~record ~scale:0.1 ()
-  in
-  (* flight recorder: marginal cost on the cached-hit path *)
-  let rec_off_us, rec_on_us, rec_pct = recorder_section ~record () in
-  (* cluster: cache-affinity scaling over 1/2/4 shards *)
-  let cluster_results = cluster_section ~record () in
-  let elapsed = Unix.gettimeofday () -. t_start in
-  record "elapsed_s" elapsed;
-  Fmt.pr "@.quick bench done in %.1fs@." elapsed;
-  match json_file with
-  | None -> ()
-  | Some file ->
-    let json =
-      J.Obj
-        [
-          ("schema", J.String "skope-bench-quick/1");
-          ("version", J.String Version.version);
-          ("git", J.String Version.git);
-          ( "metrics",
-            J.Obj (List.rev_map (fun (k, v) -> (k, J.Float v)) !metrics) );
-        ]
-    in
-    let oc = open_out file in
-    output_string oc (J.to_string json);
-    output_string oc "\n";
-    close_out oc;
-    Fmt.pr "wrote %s@." file;
-    (* The cluster numbers also ship as their own artifact, keyed by
-       shard count, so scaling regressions diff cleanly across runs. *)
-    let cluster_file = "BENCH_cluster.json" in
-    let cluster_json =
-      J.Obj
-        [
-          ("schema", J.String "skope-bench-cluster/1");
-          ("version", J.String Version.version);
-          ("git", J.String Version.git);
-          ("working_set", J.Int cluster_working_set);
-          ("cache_capacity", J.Int cluster_cache_capacity);
-          ( "shards",
-            J.List
-              (List.map
-                 (fun (shards, (rps, hits, misses)) ->
-                   J.Obj
-                     [
-                       ("shards", J.Int shards);
-                       ("cached_rps", J.Float rps);
-                       ("cache_hits", J.Int hits);
-                       ("cache_misses", J.Int misses);
-                     ])
-                 cluster_results) );
-          ( "scaling_4x_over_1x",
-            J.Float
-              (let rps1, _, _ = List.assoc 1 cluster_results in
-               let rps4, _, _ = List.assoc 4 cluster_results in
-               rps4 /. rps1) );
-        ]
-    in
-    let oc = open_out cluster_file in
-    output_string oc (J.to_string cluster_json);
-    output_string oc "\n";
-    close_out oc;
-    Fmt.pr "wrote %s@." cluster_file;
-    (* Tracing cost ships as its own artifact too: the flight recorder
-       is always on in production, so its hot-path overhead is a
-       budget (<= 5%) that diffs should be able to flag. *)
-    let trace_file = "BENCH_trace.json" in
-    let trace_json =
-      J.Obj
-        [
-          ("schema", J.String "skope-bench-trace/1");
-          ("version", J.String Version.version);
-          ("git", J.String Version.git);
-          ("recorder_off_us", J.Float rec_off_us);
-          ("recorder_on_us", J.Float rec_on_us);
-          ("recorder_hit_overhead_pct", J.Float rec_pct);
-          ("budget_pct", J.Float 5.);
-        ]
-    in
-    let oc = open_out trace_file in
-    output_string oc (J.to_string trace_json);
-    output_string oc "\n";
-    close_out oc;
-    Fmt.pr "wrote %s@." trace_file;
-    (* Arena-engine numbers ship as their own artifact: the >= 5x
-       per-point bar (and the tree/arena identity) should diff
-       cleanly across runs. *)
-    let arena_file = "BENCH_arena.json" in
-    let arena_json =
-      J.Obj
-        [
-          ("schema", J.String "skope-bench-arena/1");
-          ("version", J.String Version.version);
-          ("git", J.String Version.git);
-          ("grid_points", J.Int arena_points);
-          ("tree_us_per_point", J.Float arena_tree_us);
-          ("arena_us_per_point", J.Float arena_full_us);
-          ("arena_delta_us_per_point", J.Float arena_delta_us);
-          ("arena_delta_speedup_x", J.Float arena_speedup);
-          ("bar_x", J.Float 5.);
-          ("identical_to_tree", J.Bool arena_identical);
-        ]
-    in
-    let oc = open_out arena_file in
-    output_string oc (J.to_string arena_json);
-    output_string oc "\n";
-    close_out oc;
-    Fmt.pr "wrote %s@." arena_file
-
 let () =
-  let quick = ref false in
-  let json_file : string option ref = ref None in
-  let rec parse_args = function
-    | [] -> ()
-    | "--csv" :: dir :: rest ->
-      csv_dir := Some dir;
-      parse_args rest
-    | "--quick" :: rest ->
-      quick := true;
-      parse_args rest
-    | "--json" :: file :: rest ->
-      json_file := Some file;
-      parse_args rest
-    | arg :: _ ->
-      Fmt.epr "bench: unknown argument %S (expected --quick, --csv DIR, --json FILE)@." arg;
-      exit 2
-  in
-  parse_args (List.tl (Array.to_list Sys.argv));
-  if !quick then quick_run !json_file
-  else begin
+  (match List.tl (Array.to_list Sys.argv) with
+  | [] -> ()
+  | [ "--csv"; dir ] -> csv_dir := Some dir
+  | arg :: _ ->
+    Fmt.epr "bench: unknown argument %S (expected --csv DIR)@." arg;
+    exit 2);
   let t0 = Unix.gettimeofday () in
   Fmt.pr
     "Reproduction harness: 'Analytically Modeling Application Execution for \
@@ -1438,13 +725,4 @@ let () =
   ablation ();
   machine_microbench ();
   bechamel_section ();
-  service_section ();
-  explore_section ();
-  ignore (arena_section ());
-  ignore (cluster_section ());
-  lint_section ();
-  audit_section ();
-  telemetry_section ();
-  ignore (recorder_section ());
   Fmt.pr "@.[bench] total wall time %.1fs@." (Unix.gettimeofday () -. t0)
-  end

@@ -107,18 +107,21 @@ let parse_inputs specs =
         exit 2)
     specs
 
+(** Comma-separated numbers; any item that is not one exits 2. *)
 let parse_values s =
-  String.split_on_char ',' s |> List.filter_map float_of_string_opt
+  List.map
+    (fun item ->
+      match float_of_string_opt item with
+      | Some v -> v
+      | None ->
+        Fmt.epr "invalid value %S in %S (expected V1,V2,... numbers)@." item s;
+        exit 2)
+    (String.split_on_char ',' s)
 
 (** Build one design axis from a short key and comma-separated values
     (the sweep form: [--axis bw --values 1,2,4]). *)
 let axis_of_parts key values =
-  let values = parse_values values in
-  if values = [] then begin
-    Fmt.epr "no numeric values for axis %S@." key;
-    exit 2
-  end;
-  match Designspace.axis_of_key key values with
+  match Designspace.axis_of_key key (parse_values values) with
   | Ok axis -> axis
   | Error msg ->
     Fmt.epr "%s@." msg;

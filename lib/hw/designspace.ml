@@ -38,16 +38,37 @@ let axis_key = function
 
 let axis_keys = [ "bw"; "lat"; "vec"; "issue"; "freq"; "l2"; "div" ]
 
+(* One validity rule for a machine parameter, whether an axis sweeps
+   it or a protocol override sets it: a real-valued parameter must be
+   positive and finite, an integral one (vector width, L2 size) a
+   positive integer.  2^53 bounds the integers a float holds exactly. *)
+let positive what v =
+  if Float.is_finite v && v > 0. then Ok v
+  else Error (Printf.sprintf "%s must be positive and finite (got %g)" what v)
+
+let positive_int what v =
+  if Float.is_integer v && v >= 1. && v <= 0x1p53 then Ok (int_of_float v)
+  else Error (Printf.sprintf "%s must be a positive integer (got %g)" what v)
+
 let axis_of_key key values =
-  let ints () = List.map int_of_float values in
-  match String.lowercase_ascii key with
-  | "bw" -> Ok (Mem_bandwidth values)
-  | "lat" -> Ok (Mem_latency values)
-  | "vec" -> Ok (Vector_width (ints ()))
-  | "issue" -> Ok (Issue_width values)
-  | "freq" -> Ok (Frequency values)
-  | "l2" -> Ok (L2_size (ints ()))
-  | "div" -> Ok (Div_latency values)
+  let rec each check = function
+    | [] -> Ok []
+    | v :: rest ->
+      Result.bind (check v) (fun x ->
+          Result.map (fun xs -> x :: xs) (each check rest))
+  in
+  let key = String.lowercase_ascii key in
+  let what = Printf.sprintf "axis %S value" key in
+  let reals make = Result.map make (each (positive what) values) in
+  let ints make = Result.map make (each (positive_int what) values) in
+  match key with
+  | "bw" -> reals (fun vs -> Mem_bandwidth vs)
+  | "lat" -> reals (fun vs -> Mem_latency vs)
+  | "vec" -> ints (fun vs -> Vector_width vs)
+  | "issue" -> reals (fun vs -> Issue_width vs)
+  | "freq" -> reals (fun vs -> Frequency vs)
+  | "l2" -> ints (fun vs -> L2_size vs)
+  | "div" -> reals (fun vs -> Div_latency vs)
   | other ->
     Error
       (Printf.sprintf "unknown axis %S (expected %s)" other

@@ -22,9 +22,19 @@ val axis_key : axis -> string
     response advertises these). *)
 val axis_keys : string list
 
-(** Build an axis from its short key and swept values (integral axes
-    truncate).  [Error] carries a human-readable message listing the
-    recognized keys. *)
+(** The one validity rule for a machine parameter, shared by swept
+    axis values and protocol overrides: [positive what v] accepts a
+    positive finite [v]; [positive_int what v] a positive integer (the
+    integral parameters: vector width, L2 size).  [Error] is a message
+    naming [what] and [v]. *)
+val positive : string -> float -> (float, string) result
+
+val positive_int : string -> float -> (int, string) result
+
+(** Build an axis from its short key and swept values, each checked
+    by {!positive} ({!positive_int} on the vector-width and L2 axes).
+    [Error] carries a human-readable message: the first bad value, or
+    the recognized keys. *)
 val axis_of_key : string -> float list -> (axis, string) result
 
 (** The swept values of an axis, as floats. *)

@@ -302,7 +302,8 @@ let parse_query json =
   Ok { workload; machine; overrides; scale; coverage; leanness; top; engine }
 
 (* One axis from a {"axis":KEY,"values":[...]} object; the axis keys
-   themselves live in Designspace so every layer agrees. *)
+   and the rule their values obey live in Designspace so every layer
+   agrees. *)
 let parse_one_axis json =
   let* name = string_field json "axis" in
   let* values =
@@ -312,8 +313,8 @@ let parse_one_axis json =
         | [] -> Ok (List.rev acc)
         | v :: rest -> (
           match Json.to_float_opt v with
-          | Some f when Float.is_finite f -> go (f :: acc) rest
-          | _ -> invalid "field \"values\" must be a list of finite numbers")
+          | Some f -> go (f :: acc) rest
+          | None -> invalid "field \"values\" must be a list of numbers")
       in
       go [] vs
     | Some _ -> invalid "field \"values\" must be a list"
@@ -485,46 +486,31 @@ let parse_request body =
 (* --- machine resolution ------------------------------------------- *)
 
 let apply_override (m : Machine.t) key value =
-  let pos name =
-    if value > 0. then Ok ()
-    else invalid (Printf.sprintf "override %S must be positive" name)
+  let checked rule set =
+    match rule (Printf.sprintf "override %S" key) value with
+    | Ok v -> Ok (set v)
+    | Error msg -> invalid msg
   in
+  let real = checked Designspace.positive in
+  let count = checked Designspace.positive_int in
   match key with
-  | "freq_ghz" ->
-    let* () = pos key in
-    Ok { m with Machine.freq_ghz = value }
-  | "issue_width" ->
-    let* () = pos key in
-    Ok { m with Machine.issue_width = value }
-  | "vector_width" ->
-    let* () = pos key in
-    Ok { m with Machine.vector_width = int_of_float value }
+  | "freq_ghz" -> real (fun v -> { m with Machine.freq_ghz = v })
+  | "issue_width" -> real (fun v -> { m with Machine.issue_width = v })
+  | "vector_width" -> count (fun v -> { m with Machine.vector_width = v })
   | "flop_issue_per_cycle" ->
-    let* () = pos key in
-    Ok { m with Machine.flop_issue_per_cycle = value }
-  | "div_latency" ->
-    let* () = pos key in
-    Ok { m with Machine.div_latency = value }
+    real (fun v -> { m with Machine.flop_issue_per_cycle = v })
+  | "div_latency" -> real (fun v -> { m with Machine.div_latency = v })
   | "vec_efficiency" ->
     if value < 0. || value > 1. then
       invalid "override \"vec_efficiency\" must be in [0, 1]"
     else Ok { m with Machine.vec_efficiency = value }
   | "mem_latency_cycles" ->
-    let* () = pos key in
-    Ok { m with Machine.mem_latency_cycles = value }
-  | "mem_bw_gbs" ->
-    let* () = pos key in
-    Ok { m with Machine.mem_bw_gbs = value }
-  | "mlp" ->
-    let* () = pos key in
-    Ok { m with Machine.mlp = value }
+    real (fun v -> { m with Machine.mem_latency_cycles = v })
+  | "mem_bw_gbs" -> real (fun v -> { m with Machine.mem_bw_gbs = v })
+  | "mlp" -> real (fun v -> { m with Machine.mlp = v })
   | "l2_size_bytes" ->
-    let* () = pos key in
-    Ok
-      {
-        m with
-        Machine.l2 = { m.Machine.l2 with Machine.size_bytes = int_of_float value };
-      }
+    count (fun v ->
+        { m with Machine.l2 = { m.Machine.l2 with Machine.size_bytes = v } })
   | other -> invalid (Printf.sprintf "unknown machine override %S" other)
 
 let resolve_machine (q : query) =

@@ -192,7 +192,10 @@ val parse_request : string -> (request * envelope, error_code * string) result
 (** Build the machine for [q]: catalog lookup plus overrides.
     Recognized override keys: freq_ghz, issue_width, vector_width,
     flop_issue_per_cycle, div_latency, vec_efficiency,
-    mem_latency_cycles, mem_bw_gbs, mlp, l2_size_bytes. *)
+    mem_latency_cycles, mem_bw_gbs, mlp, l2_size_bytes.  Values obey
+    the swept axes' rule ({!Designspace.positive}; vector_width and
+    l2_size_bytes {!Designspace.positive_int}); vec_efficiency lies
+    in [0, 1]. *)
 val resolve_machine :
   query -> (Machine.t, error_code * string) result
 

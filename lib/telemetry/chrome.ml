@@ -18,24 +18,6 @@ let length t =
   Mutex.unlock t.lock;
   n
 
-(* Minimal RFC 8259 string escaping; attribute values are short
-   ASCII-ish identifiers in practice, but be correct anyway. *)
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let float_lit f =
   if Float.is_integer f && Float.abs f < 1e15 then
     Printf.sprintf "%.0f" f
@@ -51,19 +33,19 @@ let event buf ~t0 (s : Span.t) =
   Buffer.add_string buf
     (Printf.sprintf
        "{\"name\":\"%s\",\"cat\":\"skope\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{"
-       (escape s.name) ts_us dur_us s.domain);
+       (Log.escape s.name) ts_us dur_us s.domain);
   let first = ref true in
   let field k v =
     if not !first then Buffer.add_char buf ',';
     first := false;
-    Buffer.add_string buf (Printf.sprintf "\"%s\":%s" (escape k) v)
+    Buffer.add_string buf (Printf.sprintf "\"%s\":%s" (Log.escape k) v)
   in
   field "span_id" (string_of_int s.id);
   (match s.parent with
   | Some p -> field "parent_id" (string_of_int p)
   | None -> ());
   List.iter
-    (fun (k, v) -> field k (Printf.sprintf "\"%s\"" (escape v)))
+    (fun (k, v) -> field k (Printf.sprintf "\"%s\"" (Log.escape v)))
     s.attrs;
   List.iter (fun (k, v) -> field k (float_lit v)) s.counters;
   Buffer.add_string buf "}}"

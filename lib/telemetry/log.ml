@@ -17,8 +17,9 @@ let severity = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
 
 type value = Str of string | F of float | I of int | B of bool
 
-(* Same minimal RFC 8259 escaping as Chrome: this library sits below
-   the report layer, so it cannot borrow its printer. *)
+(* Minimal RFC 8259 string escaping, shared with the Chrome exporter:
+   this library sits below the report layer, so it cannot borrow its
+   printer. *)
 let escape s =
   let buf = Buffer.create (String.length s + 2) in
   String.iter

@@ -49,3 +49,8 @@ val set_rate : burst:int -> per_s:float -> unit
 
 val suppressed_total : unit -> int
 (** Lines dropped by the rate limiter since process start. *)
+
+val escape : string -> string
+(** The body of a JSON string literal for [s] (RFC 8259 escaping,
+    control bytes as [\u00XX]); the Chrome exporter writes with it
+    too. *)

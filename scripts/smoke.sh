@@ -115,6 +115,15 @@ echo "$NDJSON" | grep -q '"tag":"bw=7.0,freq=0.8"' \
     || fail "explore ndjson missing grid point"
 echo "$NDJSON" | grep -q '"pareto"' || fail "explore ndjson missing summary"
 
+echo "smoke: unparsable or out-of-range axis values exit 2"
+for args in "sweep --axis bw --values 1,x,4" "sweep --axis bw --values 0,nan" \
+    "sweep --axis vec --values 0.5" "explore --axis issue=0,2"; do
+    status=0
+    # shellcheck disable=SC2086  # $args is split into words on purpose
+    "$SKOPE" $args -w sord -m bgq >/dev/null 2>&1 || status=$?
+    [ "$status" -eq 2 ] || fail "skope $args exited $status, expected 2"
+done
+
 echo "smoke: explore points match the expected file, on 1 and 4 domains"
 # The summary line carries wall-clock (elapsed_ms), so compare only
 # the per-point lines; -j 1 pins the emission order.  The expected

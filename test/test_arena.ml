@@ -326,6 +326,56 @@ let test_grid_pool_equivalence () =
           want))
     (List.map (fun (p : Explore.point) -> p.Explore.tag) ra.Explore.pareto)
 
+(* The delta chain's mechanism, pinned as a count: priced in grid
+   order over the 1024-point five-axis SORD grid (last axis fastest,
+   so most consecutive points differ on one axis), the chain
+   re-estimates 13 392 slots where a full pass per point estimates
+   27 648.  Both counts are the same at any scale. *)
+let test_delta_chain_count () =
+  let w = sord () in
+  let axes =
+    [
+      Designspace.Frequency [ 0.8; 1.2; 1.6; 3.2 ];
+      Designspace.Issue_width [ 1.; 2.; 4.; 8. ];
+      Designspace.Mem_bandwidth [ 7.; 14.; 28.; 56. ];
+      Designspace.Mem_latency [ 40.; 80.; 160.; 320. ];
+      Designspace.Vector_width [ 1; 2; 4; 8 ];
+    ]
+  in
+  let machines =
+    List.map
+      (fun (p : Designspace.point) -> p.Designspace.p_machine)
+      (Explore.grid_points (bgq ()) axes)
+  in
+  let prepared = P.Prepared.create ~workload:w ~scale:0.1 () in
+  let arena = Arena.of_build (P.Prepared.built prepared) in
+  let priced f =
+    let count () =
+      Option.value ~default:0.
+        (List.assoc_opt "arena_nodes_priced" (Core.Telemetry.Span.counters ()))
+    in
+    let before = count () in
+    f ();
+    int_of_float (count () -. before)
+  in
+  let full =
+    priced (fun () ->
+        List.iter (fun m -> ignore (Arena_price.price arena m)) machines)
+  in
+  let chain =
+    priced (fun () ->
+        ignore
+          (List.fold_left
+             (fun prev m ->
+               Some
+                 (match prev with
+                 | None -> Arena_price.price arena m
+                 | Some prev -> Arena_price.price_delta ~prev arena m))
+             None machines))
+  in
+  Alcotest.(check int) "full pass per point" 27648 full;
+  Alcotest.(check int) "delta chain" 13392 chain
+
 (* --- fingerprint coverage ------------------------------------------ *)
 
 (* Any two requests differing in an evaluation-affecting field must
@@ -525,6 +575,8 @@ let suite =
           test_delta_matches_full;
         Alcotest.test_case "1024-point grid under the pool" `Quick
           test_grid_pool_equivalence;
+        Alcotest.test_case "delta chain prices fewer slots" `Quick
+          test_delta_chain_count;
       ] );
     ( "arena.fingerprint",
       [

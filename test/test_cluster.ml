@@ -465,6 +465,29 @@ let test_e2e_affinity_disjoint_caches () =
       Alcotest.(check int) "all shards healthy" 2
         (int_at [ "healthy" ] (cluster_stats port)))
 
+(* What sharding multiplies is cache capacity, pinned as counts: 24
+   SORD fingerprints cycled five times against 12-entry LRUs.  One
+   shard evicts every entry before its reuse; four shards each hold
+   the fingerprints they own, so each is built exactly once. *)
+let test_e2e_affinity_multiplies_cache () =
+  let bodies =
+    List.init 24 (fun i -> analyze_body (0.2 +. (0.002 *. float_of_int i)))
+  in
+  let hits_and_misses shards =
+    with_cluster ~shards ~cache:12 (fun c ->
+        let port = Local.router_port c in
+        for _ = 1 to 5 do
+          List.iter (fun body -> ignore (request port body)) bodies
+        done;
+        let stats = member_cache_stats (cluster_stats port) in
+        ( List.fold_left (fun a (_, _, h, _) -> a + h) 0 stats,
+          List.fold_left (fun a (_, _, _, m) -> a + m) 0 stats ))
+  in
+  Alcotest.(check (pair int int))
+    "1 shard: every reuse was evicted" (0, 120) (hits_and_misses 1);
+  Alcotest.(check (pair int int))
+    "4 shards: one build per fingerprint" (96, 24) (hits_and_misses 4)
+
 let test_e2e_capabilities_topology () =
   with_cluster ~shards:2 (fun c ->
       let port = Local.router_port c in
@@ -693,6 +716,8 @@ let suite =
       [
         Alcotest.test_case "affinity and disjoint caches" `Quick
           test_e2e_affinity_disjoint_caches;
+        Alcotest.test_case "affinity multiplies cache capacity" `Quick
+          test_e2e_affinity_multiplies_cache;
         Alcotest.test_case "capabilities topology" `Quick
           test_e2e_capabilities_topology;
         Alcotest.test_case "metrics aggregation" `Quick

@@ -171,13 +171,17 @@ let test_explore_counters () =
   in
   let pts_before = before "explore_points_evaluated" in
   let reuse_before = before "explore_bet_reuse_hits" in
+  let built_before = before "bet_nodes_built" in
   ignore (Explore.evaluate prepared pts);
   Alcotest.(check (float 0.))
     "points counter" (pts_before +. 2.)
     (before "explore_points_evaluated");
   Alcotest.(check (float 0.))
     "reuse counter" (reuse_before +. 2.)
-    (before "explore_bet_reuse_hits")
+    (before "explore_bet_reuse_hits");
+  (* the grid shares the prepared BET: evaluating builds no node *)
+  Alcotest.(check (float 0.))
+    "no BET built" built_before (before "bet_nodes_built")
 
 (* --- pareto -------------------------------------------------------- *)
 
@@ -280,6 +284,19 @@ let test_explore_validation () =
   Alcotest.(check string) "unknown axis key" "invalid_request"
     (code
        {|{"kind":"explore","workload":"sord","machine":"bgq","axes":[{"axis":"warp","values":[1]}]}|});
+  List.iter
+    (fun (axis, values) ->
+      Alcotest.(check string)
+        (Printf.sprintf "axis %s %s" axis values)
+        "invalid_request"
+        (code
+           (Printf.sprintf
+              {|{"kind":"explore","workload":"sord","machine":"bgq","axes":[{"axis":"bw","values":[7,14]},{"axis":"%s","values":%s}]}|}
+              axis values)))
+    [
+      ("freq", "[0.8,0]"); ("issue", "[0,2]"); ("lat", "[-100]");
+      ("vec", "[0.5]"); ("l2", "[0]"); ("div", "[-1]");
+    ];
   (* 65^3 > 4096 points without sampling *)
   let values =
     String.concat "," (List.init 65 (fun i -> string_of_int (i + 1)))

@@ -160,6 +160,33 @@ let test_protocol_errors () =
     {|{"kind":"sweep","workload":"sord","machine":"bgq","axis":"bw","values":[]}|};
   check_error "unknown override" "invalid_request"
     {|{"kind":"analyze","workload":"sord","machine":"bgq","overrides":{"warp_speed":9}}|};
+  (* Swept values and overrides obey one rule: real parameters
+     positive and finite, vector width and L2 size positive integers. *)
+  List.iter
+    (fun (axis, values) ->
+      check_error
+        (Printf.sprintf "sweep %s %s" axis values)
+        "invalid_request"
+        (Printf.sprintf
+           {|{"kind":"sweep","workload":"sord","machine":"bgq","axis":"%s","values":%s}|}
+           axis values))
+    [
+      ("bw", "[0]"); ("freq", "[0]"); ("issue", "[0]"); ("bw", "[-4]");
+      ("lat", "[-100]"); ("vec", "[0.5]"); ("l2", "[0]"); ("div", "[7,0]");
+      ("freq", "[1e999]");
+    ];
+  List.iter
+    (fun (key, value) ->
+      check_error
+        (Printf.sprintf "override %s %s" key value)
+        "invalid_request"
+        (Printf.sprintf
+           {|{"kind":"analyze","workload":"sord","machine":"bgq","overrides":{"%s":%s}}|}
+           key value))
+    [
+      ("vector_width", "0.5"); ("l2_size_bytes", "0.5"); ("mem_bw_gbs", "0");
+      ("freq_ghz", "1e999");
+    ];
   check_error "bad timeout" "invalid_request"
     {|{"kind":"analyze","workload":"sord","machine":"bgq","timeout_ms":0}|}
 
