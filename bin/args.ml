@@ -139,6 +139,22 @@ let parse_axis_spec spec =
     Fmt.epr "invalid axis %S (expected KEY=V1,V2,...)@." spec;
     exit 2
 
+(** Run [f]; if it prices a machine to an infinite or NaN time (a
+    positive but tiny parameter), name it through [what] and exit 2,
+    as for any other bad parameter. *)
+let finite_or_exit ~what f =
+  try f ()
+  with Core.Analysis.Arena_price.Non_finite_time m ->
+    Fmt.epr "%s gives a non-finite projected time@." (what m);
+    exit 2
+
+(** [what] for {!finite_or_exit} over grid points: the swept values of
+    the point priced on [m]. *)
+let point_of_machine (pts : Designspace.point list) m =
+  match List.find_opt (fun (pt : Designspace.point) -> pt.p_machine = m) pts with
+  | Some pt -> Designspace.values_label pt.p_values
+  | None -> m.Core.Hw.Machine.name
+
 (** Repeatable [--axis KEY=V1,V2,...] for multi-axis grids. *)
 let axes_arg =
   let doc =

@@ -104,7 +104,7 @@ let spot_rows total (blocks : Blockstat.t list) k =
            Fmt.str "%.4g" (b.time *. 1e3);
            (if total > 0. then pct (b.time /. total) else "-");
            Fmt.str "%.3g" b.enr;
-           Fmt.str "%a" Core.Hw.Roofline.pp_bound b.bound;
+           Core.Hw.Roofline.bound_label b.bound;
          ])
 
 let spots_table title total blocks k =
@@ -467,7 +467,9 @@ let cmd_analyze =
     | Some f ->
       let program, inputs = load_file f inputs in
       Fmt.pr "Projected hot spots of %s on %s:@.@." f m.name;
-      print_analysis m program inputs criteria k
+      finite_or_exit
+        ~what:(fun m -> Printf.sprintf "%s on %s" f m.Core.Hw.Machine.name)
+        (fun () -> print_analysis m program inputs criteria k)
     | None ->
       let w = lookup_workload workload in
       let scale = Option.value ~default:w.default_scale scale in
@@ -477,7 +479,10 @@ let cmd_analyze =
       in
       Fmt.pr "Projected hot spots of %s on %s (no target execution):@.@."
         w.name m.name;
-      print_analysis m program winputs criteria k
+      finite_or_exit
+        ~what:(fun m ->
+          Printf.sprintf "%s at scale %g on %s" w.name scale m.Core.Hw.Machine.name)
+        (fun () -> print_analysis m program winputs criteria k)
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -779,22 +784,30 @@ let cmd_sweep =
     Fmt.pr "Sweeping %s of %s for %s:@."
       (Core.Hw.Designspace.axis_name axis)
       base.name w.name;
-    List.iter
-      (fun (tag, machine) ->
-        let a =
-          P.analyze ~machine ~workload:w ~scale:w.default_scale ()
-        in
+    (* One prepared BET, priced on every value by a delta chain, as
+       the service's sweep does. *)
+    let pts = Core.Hw.Designspace.grid base [ axis ] in
+    let prepared = P.Prepared.create ~workload:w ~scale:w.default_scale () in
+    let outcomes =
+      finite_or_exit ~what:(point_of_machine pts) (fun () ->
+          P.Prepared.project_batch prepared
+            (Array.of_list
+               (List.map (fun (pt : Core.Hw.Designspace.point) -> pt.p_machine) pts)))
+    in
+    List.iteri
+      (fun i (pt : Core.Hw.Designspace.point) ->
+        let o = outcomes.(i) in
         let top =
-          match a.P.a_projection.blocks with
+          match o.P.Prepared.o_blocks with
           | b :: _ ->
-            Fmt.str "#1 %s (%a)" b.Blockstat.name Core.Hw.Roofline.pp_bound
-              b.Blockstat.bound
+            Fmt.str "#1 %s (%s)" b.Blockstat.name
+              (Core.Hw.Roofline.bound_label b.Blockstat.bound)
           | [] -> "-"
         in
-        Fmt.pr "  %8s -> %10.3f ms | %s@." tag
-          (a.P.a_projection.total_time *. 1e3)
+        Fmt.pr "  %8s -> %10.3f ms | %s@." pt.p_tag
+          (o.P.Prepared.o_total_time *. 1e3)
           top)
-      (Core.Hw.Designspace.variants base axis)
+      pts
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Explore one hardware design axis analytically")
@@ -867,7 +880,10 @@ let cmd_explore =
             flush stdout)
       | `Text | `Json -> None
     in
-    let r = Explore.evaluate ~jobs ~criteria ?on_point prepared pts in
+    let r =
+      finite_or_exit ~what:(point_of_machine pts) (fun () ->
+          Explore.evaluate ~jobs ~criteria ?on_point prepared pts)
+    in
     let pareto_tags =
       List.map (fun (p : Explore.point) -> p.Explore.tag) r.Explore.pareto
     in

@@ -195,6 +195,16 @@ let aggregate ~mask ?prev (a : Arena.t) st =
   done;
   !blocks
 
+exception Non_finite_time of Machine.t
+
+(* Every priced point passes here: a machine parameter so small that a
+   time term overflows (memory bandwidth 1e-320 GB/s, say) must not
+   come back as an infinite or NaN answer. *)
+let finish machine blocks st =
+  let total = Blockstat.total_time blocks in
+  if not (Float.is_finite total) then raise (Non_finite_time machine);
+  { p_machine = machine; p_blocks = blocks; p_total_time = total; p_state = st }
+
 let with_eval_span (machine : Machine.t) f =
   Skope_telemetry.Span.with_ ~name:"eval"
     ~attrs:[ ("machine", machine.Machine.name) ]
@@ -220,13 +230,7 @@ let price ?(opts = Roofline.default_opts) ?(cache = Perf.Constant)
         }
       in
       reprice ~opts ~cache ~mask:Arena.dep_all a machine st;
-      let blocks = aggregate ~mask:Arena.dep_all a st in
-      {
-        p_machine = machine;
-        p_blocks = blocks;
-        p_total_time = Blockstat.total_time blocks;
-        p_state = st;
-      })
+      finish machine (aggregate ~mask:Arena.dep_all a st) st)
 
 let price_delta ?(opts = Roofline.default_opts) ?(cache = Perf.Constant)
     ~(prev : priced) (a : Arena.t) (machine : Machine.t) : priced =
@@ -257,13 +261,7 @@ let price_delta ?(opts = Roofline.default_opts) ?(cache = Perf.Constant)
           }
         in
         reprice ~opts ~cache ~mask a machine st;
-        let blocks = aggregate ~mask ~prev:prev.p_state a st in
-        {
-          p_machine = machine;
-          p_blocks = blocks;
-          p_total_time = Blockstat.total_time blocks;
-          p_state = st;
-        })
+        finish machine (aggregate ~mask ~prev:prev.p_state a st) st)
 
 (* Filled in the tree walk's visit order into tables of the tree
    walk's initial size, so even their bucket layout matches. *)

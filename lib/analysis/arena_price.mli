@@ -23,6 +23,13 @@ type priced = {
   p_state : state;
 }
 
+(** Raised by {!price} and {!price_delta} when the total projected
+    time on the machine is infinite or NaN, which a positive but tiny
+    parameter causes (memory bandwidth 1e-320 GB/s overflows the
+    memory term).  Nothing prices such a machine; callers report it
+    as a bad parameter.  A finite time, however absurd, is returned. *)
+exception Non_finite_time of Machine.t
+
 val machine : priced -> Machine.t
 val blocks : priced -> Blockstat.t list
 val total_time : priced -> float

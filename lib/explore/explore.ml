@@ -88,19 +88,9 @@ let pareto_points = pareto_by ~metrics:(fun p -> (p.time, p.cost))
     override query. *)
 let grid_points ?sample ?seed (base : Machine.t)
     (axes : Designspace.axis list) : Designspace.point list =
-  let pts =
-    match sample with
-    | None -> Designspace.grid base axes
-    | Some n -> Designspace.sample ?seed ~n base axes
-  in
-  List.map
-    (fun (p : Designspace.point) ->
-      {
-        p with
-        Designspace.p_machine =
-          { p.Designspace.p_machine with Machine.name = base.Machine.name };
-      })
-    pts
+  match sample with
+  | None -> Designspace.grid base axes
+  | Some n -> Designspace.sample ?seed ~n base axes
 
 (** Evaluate [pts] against a shared prepared BET.
 

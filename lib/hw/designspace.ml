@@ -80,63 +80,48 @@ let axis_values = function
     vs
   | Vector_width vs | L2_size vs -> List.map float_of_int vs
 
+(* How a swept value is shown: the tag of a sweep point ("7.0", "4",
+   "512K") and, in [variants], the machine-name suffix ("bw=7.0"). *)
+let tag axis v =
+  match axis with
+  | Mem_bandwidth _ | Frequency _ -> Printf.sprintf "%.1f" v
+  | Mem_latency _ | Issue_width _ | Div_latency _ -> Printf.sprintf "%.0f" v
+  | Vector_width _ -> string_of_int (int_of_float v)
+  | L2_size _ -> string_of_int (int_of_float v / 1024) ^ "K"
+
+let name_key = function
+  | Mem_bandwidth _ -> "bw"
+  | Mem_latency _ -> "lat"
+  | Vector_width _ -> "vw"
+  | Issue_width _ -> "iw"
+  | Frequency _ -> "f"
+  | L2_size _ -> "l2"
+  | Div_latency _ -> "div"
+
+(* [m] with the parameter [axis] sweeps set to [v]. *)
+let set axis (m : Machine.t) v =
+  match axis with
+  | Mem_bandwidth _ -> { m with Machine.mem_bw_gbs = v }
+  | Mem_latency _ -> { m with Machine.mem_latency_cycles = v }
+  | Vector_width _ -> { m with Machine.vector_width = int_of_float v }
+  | Issue_width _ -> { m with Machine.issue_width = v }
+  | Frequency _ -> { m with Machine.freq_ghz = v }
+  | L2_size _ ->
+    { m with Machine.l2 = { m.Machine.l2 with Machine.size_bytes = int_of_float v } }
+  | Div_latency _ -> { m with Machine.div_latency = v }
+
 (** Machine variants along [axis], each tagged with the swept value
     rendered as a string. *)
 let variants (base : Machine.t) (axis : axis) : (string * Machine.t) list =
-  let tag fmt v = Fmt.str fmt v in
-  match axis with
-  | Mem_bandwidth vs ->
-    List.map
-      (fun v ->
-        ( tag "%.1f" v,
-          { base with Machine.name = Fmt.str "%s/bw=%.1f" base.Machine.name v;
-            mem_bw_gbs = v } ))
-      vs
-  | Mem_latency vs ->
-    List.map
-      (fun v ->
-        ( tag "%.0f" v,
-          { base with Machine.name = Fmt.str "%s/lat=%.0f" base.Machine.name v;
-            mem_latency_cycles = v } ))
-      vs
-  | Vector_width vs ->
-    List.map
-      (fun v ->
-        ( tag "%d" v,
-          { base with Machine.name = Fmt.str "%s/vw=%d" base.Machine.name v;
-            vector_width = v } ))
-      vs
-  | Issue_width vs ->
-    List.map
-      (fun v ->
-        ( tag "%.0f" v,
-          { base with Machine.name = Fmt.str "%s/iw=%.0f" base.Machine.name v;
-            issue_width = v } ))
-      vs
-  | Frequency vs ->
-    List.map
-      (fun v ->
-        ( tag "%.1f" v,
-          { base with Machine.name = Fmt.str "%s/f=%.1f" base.Machine.name v;
-            freq_ghz = v } ))
-      vs
-  | L2_size vs ->
-    List.map
-      (fun v ->
-        ( tag "%dK" (v / 1024),
-          {
-            base with
-            Machine.name = Fmt.str "%s/l2=%dK" base.Machine.name (v / 1024);
-            l2 = { base.Machine.l2 with Machine.size_bytes = v };
-          } ))
-      vs
-  | Div_latency vs ->
-    List.map
-      (fun v ->
-        ( tag "%.0f" v,
-          { base with Machine.name = Fmt.str "%s/div=%.0f" base.Machine.name v;
-            div_latency = v } ))
-      vs
+  List.map
+    (fun v ->
+      let tag = tag axis v in
+      ( tag,
+        {
+          (set axis base v) with
+          Machine.name = base.Machine.name ^ "/" ^ name_key axis ^ "=" ^ tag;
+        } ))
+    (axis_values axis)
 
 (** A balanced sweep around [base] for quick exploration: halve and
     double the memory bandwidth. *)
@@ -152,32 +137,27 @@ type point = {
   p_machine : Machine.t;
 }
 
-let with_value axis v =
-  match axis with
-  | Mem_bandwidth _ -> Mem_bandwidth [ v ]
-  | Mem_latency _ -> Mem_latency [ v ]
-  | Vector_width _ -> Vector_width [ int_of_float v ]
-  | Issue_width _ -> Issue_width [ v ]
-  | Frequency _ -> Frequency [ v ]
-  | L2_size _ -> L2_size [ int_of_float v ]
-  | Div_latency _ -> Div_latency [ v ]
+(* One axis's levels, each tag formatted once per grid: the bare tag
+   on a single axis (so a one-axis grid matches a sweep byte for
+   byte), ["key=tag"] on more. *)
+type level = { axis : axis; key : string; value : float; label : string }
 
-(* Apply one swept value, reusing [variants] so tags (and therefore
-   the single-axis wire format) stay identical to a plain sweep. *)
-let apply machine axis v =
-  match variants machine (with_value axis v) with
-  | [ (tag, m) ] -> (tag, m)
-  | _ -> assert false
+let levels ~single axis =
+  let key = axis_key axis in
+  List.map
+    (fun value ->
+      let t = tag axis value in
+      { axis; key; value; label = (if single then t else key ^ "=" ^ t) })
+    (axis_values axis)
 
-let empty_point base = { p_tag = ""; p_values = []; p_machine = base }
-
-let extend ~single pt axis v =
-  let tag, m = apply pt.p_machine axis v in
-  let tag = if single then tag else axis_key axis ^ "=" ^ tag in
+(* A point from one level per axis, in axis order.  The machine keeps
+   [base]'s name, so a point's result (and its service fingerprint)
+   matches an equivalent override query. *)
+let point base chosen =
   {
-    p_tag = (if pt.p_tag = "" then tag else pt.p_tag ^ "," ^ tag);
-    p_values = pt.p_values @ [ (axis_key axis, v) ];
-    p_machine = m;
+    p_tag = String.concat "," (List.map (fun l -> l.label) chosen);
+    p_values = List.map (fun l -> (l.key, l.value)) chosen;
+    p_machine = List.fold_left (fun m l -> set l.axis m l.value) base chosen;
   }
 
 (** Full cartesian product of [axes] around [base]; the first axis
@@ -185,13 +165,15 @@ let extend ~single pt axis v =
     order (byte-compatible with a sweep). *)
 let grid (base : Machine.t) (axes : axis list) : point list =
   let single = match axes with [ _ ] -> true | _ -> false in
-  List.fold_left
-    (fun pts axis ->
-      List.concat_map
-        (fun pt ->
-          List.map (fun v -> extend ~single pt axis v) (axis_values axis))
-        pts)
-    [ empty_point base ] axes
+  let rec go chosen = function
+    | [] -> [ point base (List.rev chosen) ]
+    | ls :: rest -> List.concat_map (fun l -> go (l :: chosen) rest) ls
+  in
+  go [] (List.map (levels ~single) axes)
+
+let values_label values =
+  String.concat ","
+    (List.map (fun (k, v) -> Printf.sprintf "%s=%g" k v) values)
 
 (** Number of points [grid] would produce, without building them. *)
 let grid_size axes =
@@ -224,21 +206,19 @@ let sample ?(seed = 42) ~n (base : Machine.t) (axes : axis list) : point list =
      marginal coverage is as uniform as [n] allows — a discrete latin
      hypercube.  Duplicate points (possible when an axis has fewer
      levels than [n]) are dropped, keeping the first occurrence. *)
+  let single = match axes with [ _ ] -> true | _ -> false in
   let columns =
     List.map
       (fun axis ->
-        let vs = Array.of_list (axis_values axis) in
-        let idx = Array.init n (fun i -> i * Array.length vs / n) in
+        let ls = Array.of_list (levels ~single axis) in
+        let idx = Array.init n (fun i -> i * Array.length ls / n) in
         shuffle idx;
-        (axis, idx, vs))
+        (idx, ls))
       axes
   in
-  let single = match axes with [ _ ] -> true | _ -> false in
   let pts =
     List.init n (fun i ->
-        List.fold_left
-          (fun pt (axis, idx, vs) -> extend ~single pt axis vs.(idx.(i)))
-          (empty_point base) columns)
+        point base (List.map (fun (idx, ls) -> ls.(idx.(i))) columns))
   in
   let seen = Hashtbl.create 16 in
   List.filter

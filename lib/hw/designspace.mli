@@ -46,9 +46,12 @@ val variants : Machine.t -> axis -> (string * Machine.t) list
 (** Quarter to quadruple the base machine's memory bandwidth. *)
 val default_bandwidth_sweep : Machine.t -> (string * Machine.t) list
 
-(** One grid point: a machine with every axis value applied.  On a
-    single axis the tag is the bare [variants] tag (["7.0"]); with
-    more axes, comma-joined [key=tag] pairs (["bw=7.0,vec=4"]). *)
+(** One grid point: a machine with every axis value applied, under
+    the base machine's name (so its projection matches an equivalent
+    override of the base).  On a single axis the tag is the bare
+    [variants] tag (["7.0"]); with more axes, comma-joined [key=tag]
+    pairs (["bw=7.0,vec=4"]).  A grid formats each axis level's tag
+    once, not once per point. *)
 type point = {
   p_tag : string;
   p_values : (string * float) list;  (** axis key -> swept value *)
@@ -59,6 +62,11 @@ type point = {
     varies slowest, so a one-axis grid lists points in [variants]
     order. *)
 val grid : Machine.t -> axis list -> point list
+
+(** A point's swept values as ["bw=7,freq=0.8"], at ["%g"] precision:
+    how an error names a point, since its tag rounds ([1e-320] GB/s
+    tags as ["0.0"]). *)
+val values_label : (string * float) list -> string
 
 (** Number of points {!grid} would produce, without building them. *)
 val grid_size : axis list -> int

@@ -41,10 +41,12 @@ let default_opts =
 
 type bound = Compute_bound | Memory_bound | Balanced
 
-let pp_bound ppf = function
-  | Compute_bound -> Fmt.string ppf "compute"
-  | Memory_bound -> Fmt.string ppf "memory"
-  | Balanced -> Fmt.string ppf "balanced"
+let bound_label = function
+  | Compute_bound -> "compute"
+  | Memory_bound -> "memory"
+  | Balanced -> "balanced"
+
+let pp_bound ppf b = Fmt.string ppf (bound_label b)
 
 type breakdown = {
   tc : float;  (** computation seconds *)

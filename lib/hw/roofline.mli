@@ -26,6 +26,10 @@ val default_opts : opts
 
 type bound = Compute_bound | Memory_bound | Balanced
 
+(** ["compute"], ["memory"] or ["balanced"]: the text every report,
+    JSON reply and {!pp_bound} prints for a bound. *)
+val bound_label : bound -> string
+
 val pp_bound : bound Fmt.t
 
 type breakdown = {

@@ -11,13 +11,28 @@ type t =
   | String of string
   | List of t list
   | Obj of (string * t) list
+  | Raw of string
+      (** text emitted verbatim: always the {!to_string} of some
+          value, kept so that a value rendered once (a cached
+          projection) is spliced into larger replies without being
+          rendered again.  The parser never produces it, and the
+          accessors see no structure in it. *)
 
 val to_string : t -> string
 
 (** How a [Float] is emitted: integral values below 1e15 in magnitude
     as ["%.1f"], other finite values as ["%.17g"] (so they read back
-    bit for bit), NaN as [null] and infinities as [±1e999]. *)
+    bit for bit), NaN as [null] and infinities as [±1e999].  The bytes
+    are Printf's; see {!float_g17} for how they are made. *)
 val float_repr : float -> string
+
+(** The bytes of [Printf.sprintf "%.17g"], without its format
+    interpreter or the C call where the value allows.  Integer values
+    below 1e17 in magnitude print their digits; other values with
+    1e-10 <= |x| < 1e17 take their 17 significant digits from an exact
+    multi-limb product, rounded half to even as the C library rounds;
+    every other value goes to the C primitive. *)
+val float_g17 : float -> string
 
 (** Parse one RFC 8259 JSON text.  Numbers without a fraction or
     exponent that fit [int] parse as [Int], everything else as

@@ -30,7 +30,7 @@ let json_of_blockstat ~total_time (b : Blockstat.t) =
       ("t_overlap", Json.Float b.Blockstat.t_overlap);
       ("executions", Json.Float b.Blockstat.enr);
       ("static_size", Json.Int b.Blockstat.static_size);
-      ("bound", Json.String (Fmt.str "%a" Roofline.pp_bound b.Blockstat.bound));
+      ("bound", Json.String (Roofline.bound_label b.Blockstat.bound));
       ("work", json_of_work b.Blockstat.work);
     ]
 
@@ -154,7 +154,7 @@ let roofline_rows ?(opts = Roofline.default_opts) (m : Machine.t)
                Fmt.str "%.3g" (achieved /. 1e9);
                Fmt.str "%.3g" (attainable /. 1e9);
                Fmt.str "%.1f%%" (100. *. achieved /. attainable);
-               Fmt.str "%a" Roofline.pp_bound b.Blockstat.bound;
+               Roofline.bound_label b.Blockstat.bound;
              ]
          end)
 

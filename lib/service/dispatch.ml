@@ -10,15 +10,18 @@ module Designspace = Core.Hw.Designspace
 module Hotspot = Core.Analysis.Hotspot
 module Blockstat = Core.Analysis.Blockstat
 module Roofline = Core.Hw.Roofline
+module Arena_price = Core.Analysis.Arena_price
 module Explore = Skope_explore.Explore
 
 type config = { max_request_bytes : int; cache_capacity : int }
 
 let default_config = { max_request_bytes = 1 lsl 20; cache_capacity = 4096 }
 
+type entry = { rendered : string; total_ms : float }
+
 type t = {
   config : config;
-  cache : Json.t Lru.t;
+  cache : entry Lru.t;
   metrics : Metrics.t;
   recorder : Recorder.t;
 }
@@ -110,16 +113,10 @@ let json_of_spot rank total (b : Blockstat.t) =
       ("ms", Json.Float (b.time *. 1e3));
       ("share", Json.Float (if total > 0. then b.time /. total else 0.));
       ("enr", Json.Float b.enr);
-      ("bound", Json.String (Fmt.str "%a" Roofline.pp_bound b.bound));
+      ("bound", Json.String (Roofline.bound_label b.bound));
     ]
 
-(* Shared outcome renderer: analyze, sweep points and explore points
-   all serialize through here, so a cache entry written by any of
-   them is byte-identical for the others.  The v1 engine name is not
-   part of a point's JSON; sweep and explore echo it at the top
-   level. *)
-let render_outcome p ~bet_nodes (o : P.Prepared.outcome) =
-  Span.with_ ~name:"report" (fun () ->
+let json_of_outcome p ~bet_nodes (o : P.Prepared.outcome) =
   let total = o.P.Prepared.o_total_time in
   let spots =
     List.filteri (fun i _ -> i < p.top) o.P.Prepared.o_blocks
@@ -149,7 +146,20 @@ let render_outcome p ~bet_nodes (o : P.Prepared.outcome) =
             ("coverage", Json.Float sel.Hotspot.coverage);
             ("leanness", Json.Float sel.Hotspot.leanness);
           ] );
-    ])
+    ]
+
+(* Shared outcome renderer: analyze, sweep points and explore points
+   all render here, once, when the point is priced.  The cache keeps
+   the bytes, so an entry written by any of them is spliced
+   byte-identically into the others' replies.  The v1 engine name is
+   not part of a point's JSON; sweep and explore echo it at the top
+   level. *)
+let render_outcome p ~bet_nodes (o : P.Prepared.outcome) =
+  Span.with_ ~name:"report" (fun () ->
+      {
+        rendered = Json.to_string (json_of_outcome p ~bet_nodes o);
+        total_ms = o.P.Prepared.o_total_time *. 1e3;
+      })
 
 let analysis_result p =
   let prep = P.Prepared.create ~workload:p.workload ~scale:p.scale () in
@@ -171,14 +181,14 @@ let lookup_workload name =
    the same parameters share a slot. *)
 let cached t p compute =
   match Lru.find t.cache p.fingerprint with
-  | Some json ->
+  | Some entry ->
     Metrics.cache_hit t.metrics;
-    json
+    entry
   | None ->
     Metrics.cache_miss t.metrics;
-    let json = compute () in
-    Lru.add t.cache p.fingerprint json;
-    json
+    let entry = compute () in
+    Lru.add t.cache p.fingerprint entry;
+    entry
 
 let cached_analysis t p = cached t p (fun () -> analysis_result p)
 
@@ -199,6 +209,31 @@ let cached_point t ~prepared ~prev p =
       Span.count "explore_bet_reuse_hits" 1.;
       render_outcome p ~bet_nodes:(P.Prepared.built prep).node_count o)
 
+(* A machine the model prices to an infinite or NaN time (a positive
+   but tiny parameter) is a bad request, named by [what ()]; pricing
+   raised before the cache could keep anything. *)
+let finite ~what f =
+  try f ()
+  with Arena_price.Non_finite_time _ ->
+    reject Protocol.Invalid_request
+      (Printf.sprintf "%s gives a non-finite projected time" (what ()))
+
+(* A sweep or explore point through the cache, as a reply fragment
+   that splices the stored bytes. *)
+let grid_point t ~prepared ~prev p (pt : Designspace.point) =
+  let entry =
+    finite
+      ~what:(fun () -> Designspace.values_label pt.Designspace.p_values)
+      (fun () ->
+        cached_point t ~prepared ~prev (at_machine p pt.Designspace.p_machine))
+  in
+  ( entry,
+    Json.Obj
+      [
+        ("tag", Json.String pt.Designspace.p_tag);
+        ("analysis", Json.Raw entry.rendered);
+      ] )
+
 (* The machine-independent prefix, built at most once per request —
    and not at all when every point is served from the cache. *)
 let prepare p =
@@ -209,24 +244,18 @@ let prepare p =
 (* --- request kinds ------------------------------------------------- *)
 
 let run_sweep t p axis ~check_deadline =
-  (* All variants share one prepared BET and delta-chain through it. *)
+  (* All variants share one prepared BET and delta-chain through it.
+     They are a one-axis grid: the sweep's tags, on machines that keep
+     the base's name, so a point's fingerprint (and rendered result)
+     matches an equivalent override query. *)
   let prepared = prepare p in
   let prev = ref None in
   let points =
-    Designspace.variants p.machine axis
-    |> List.map (fun (tag, variant) ->
+    Designspace.grid p.machine [ axis ]
+    |> List.map (fun pt ->
            (* Cooperative cancellation between fan-out points. *)
            check_deadline ();
-           (* Re-normalize the variant's name so its fingerprint (and
-              rendered result) match an equivalent override query. *)
-           let pt =
-             at_machine p { variant with Machine.name = p.machine.Machine.name }
-           in
-           Json.Obj
-             [
-               ("tag", Json.String tag);
-               ("analysis", cached_point t ~prepared ~prev pt);
-             ])
+           snd (grid_point t ~prepared ~prev p pt))
   in
   Json.Obj
     [
@@ -236,12 +265,6 @@ let run_sweep t p axis ~check_deadline =
       ("axis", Json.String (Designspace.axis_name axis));
       ("points", Json.List points);
     ]
-
-let total_ms_of_analysis json =
-  match Json.member "total_ms" json with
-  | Some (Json.Float f) -> f
-  | Some (Json.Int i) -> float_of_int i
-  | _ -> 0.
 
 let run_explore t p (spec : Protocol.explore_spec) ~check_deadline =
   let pts =
@@ -261,16 +284,10 @@ let run_explore t p (spec : Protocol.explore_spec) ~check_deadline =
          with Reject (code, msg) ->
            reject code
              (Printf.sprintf "%s after %d of %d points" msg !completed n));
-        let machine = pt.Designspace.p_machine in
-        let analysis = cached_point t ~prepared ~prev (at_machine p machine) in
+        let entry, json = grid_point t ~prepared ~prev p pt in
         Span.count "explore_points_evaluated" 1.;
         incr completed;
-        ( pt,
-          total_ms_of_analysis analysis,
-          Explore.cost_proxy machine,
-          Json.Obj
-            [ ("tag", Json.String pt.Designspace.p_tag); ("analysis", analysis) ]
-        ))
+        (pt, entry.total_ms, Explore.cost_proxy pt.Designspace.p_machine, json))
       pts
   in
   let pareto =
@@ -589,7 +606,16 @@ let handle ?received_at t body =
       check_deadline ();
       let result =
         match request with
-        | Protocol.Analyze q -> cached_analysis t (resolve q)
+        | Protocol.Analyze q ->
+          let p = resolve q in
+          let what () =
+            match q.Protocol.overrides with
+            | [] ->
+              Printf.sprintf "%s at scale %g on %s" p.workload.Registry.name
+                p.scale p.machine.Machine.name
+            | overrides -> "override " ^ Designspace.values_label overrides
+          in
+          Json.Raw (finite ~what (fun () -> cached_analysis t p)).rendered
         | Protocol.Sweep (q, axis) -> run_sweep t (resolve q) axis ~check_deadline
         | Protocol.Explore (q, spec) ->
           run_explore t (resolve q) spec ~check_deadline

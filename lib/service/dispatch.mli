@@ -12,9 +12,15 @@ type config = {
 
 val default_config : config
 
+(** One cached projection: the analysis object rendered once, when it
+    was priced, and its total time.  Analyze replies, sweep points and
+    explore points splice [rendered] through {!Json.Raw}; explore ranks
+    its Pareto frontier by [total_ms] without reading the bytes back. *)
+type entry = { rendered : string; total_ms : float }
+
 type t = {
   config : config;
-  cache : Json.t Lru.t;  (** fingerprint -> analyze result object *)
+  cache : entry Lru.t;  (** fingerprint -> the projection's entry *)
   metrics : Metrics.t;
   recorder : Skope_telemetry.Recorder.t;
       (** flight recorder behind [{"kind":"recent"}] / [{"kind":"trace"}] *)

@@ -115,9 +115,12 @@ echo "$NDJSON" | grep -q '"tag":"bw=7.0,freq=0.8"' \
     || fail "explore ndjson missing grid point"
 echo "$NDJSON" | grep -q '"pareto"' || fail "explore ndjson missing summary"
 
-echo "smoke: unparsable or out-of-range axis values exit 2"
+echo "smoke: unparsable, out-of-range or unpriceable axis values exit 2"
+# The last three are positive but price to an infinite time.
 for args in "sweep --axis bw --values 1,x,4" "sweep --axis bw --values 0,nan" \
-    "sweep --axis vec --values 0.5" "explore --axis issue=0,2"; do
+    "sweep --axis vec --values 0.5" "explore --axis issue=0,2" \
+    "sweep --axis bw --values 1e-320,7" "sweep --axis freq --values 1e-310" \
+    "explore --axis bw=1e-320,7"; do
     status=0
     # shellcheck disable=SC2086  # $args is split into words on purpose
     "$SKOPE" $args -w sord -m bgq >/dev/null 2>&1 || status=$?
@@ -137,6 +140,13 @@ PTS_J4=$("$SKOPE" explore -w sord -m bgq --axis bw=7,14 --axis freq=0.8,1.6 \
     -j 4 --format ndjson | grep '"tag"') || fail "explore -j 4"
 [ "$(sort <<<"$PTS_J4")" = "$(sort <<<"$PTS_J1")" ] \
     || fail "explore -j 4 points differ from -j 1"
+
+echo "smoke: sweep text matches the expected file"
+# Priced through one prepared BET; the text is what per-value
+# analyses printed.
+EXPECTED_SWEEP=scripts/golden/sweep-sord-bgq.txt
+"$SKOPE" sweep -w sord -m bgq --axis bw --values 7,14,28,56 \
+    | cmp -s - "$EXPECTED_SWEEP" || fail "sweep text differs from $EXPECTED_SWEEP"
 
 echo "smoke: audit report matches the expected file"
 # A005's L2-crossing multipliers evaluate the symbolic model's closed

@@ -297,6 +297,16 @@ let test_explore_validation () =
       ("freq", "[0.8,0]"); ("issue", "[0,2]"); ("lat", "[-100]");
       ("vec", "[0.5]"); ("l2", "[0]"); ("div", "[-1]");
     ];
+  (* A positive but tiny bandwidth prices to an infinite time: an
+     error naming the point, not a point on the Pareto frontier. *)
+  let non_finite, msg =
+    error_of
+      (handle
+         {|{"kind":"explore","workload":"sord","machine":"bgq","axes":[{"axis":"bw","values":[1e-320,7,28]}]}|})
+  in
+  Alcotest.(check string) "non-finite time" "invalid_request" non_finite;
+  Alcotest.(check bool) ("names the value: " ^ msg) true
+    (String.length msg > 3 && String.sub msg 0 3 = "bw=");
   (* 65^3 > 4096 points without sampling *)
   let values =
     String.concat "," (List.init 65 (fun i -> string_of_int (i + 1)))

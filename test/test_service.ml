@@ -109,10 +109,19 @@ let gen_json : Json.t QCheck.Gen.t =
                  (pair string_printable (self (n / 2))));
           ])
 
+(* A tree rendered once and spliced back through [Raw] emits the
+   bytes of the tree itself, in an object or a list. *)
 let prop_roundtrip =
   QCheck.Test.make ~name:"emit/parse round trip" ~count:500
     (QCheck.make ~print:Json.to_string gen_json)
     (fun t ->
+      let raw = Json.Raw (Json.to_string t) in
+      let same a b = Json.to_string a = Json.to_string b in
+      if
+        not
+          (same (Json.Obj [ ("k", raw) ]) (Json.Obj [ ("k", t) ])
+          && same (Json.List [ raw; raw ]) (Json.List [ t; t ]))
+      then QCheck.Test.fail_reportf "Raw splice differs from the tree";
       match Json.of_string (Json.to_string t) with
       | Ok t' -> t = t'
       | Error e -> QCheck.Test.fail_reportf "reparse failed: %s" e)
@@ -188,7 +197,41 @@ let test_protocol_errors () =
       ("freq_ghz", "1e999");
     ];
   check_error "bad timeout" "invalid_request"
-    {|{"kind":"analyze","workload":"sord","machine":"bgq","timeout_ms":0}|}
+    {|{"kind":"analyze","workload":"sord","machine":"bgq","timeout_ms":0}|};
+  (* Positive but tiny parameters pass that rule and price to an
+     infinite time: the reply names the value, and nothing enters the
+     cache.  A finite but absurd time is still an answer. *)
+  let dispatch = Service.Dispatch.create () in
+  List.iter
+    (fun (body, names) ->
+      let r = handle ~dispatch body in
+      Alcotest.(check string) body "invalid_request" (error_code r);
+      let contains sub =
+        let n = String.length sub in
+        let rec go i =
+          i + n <= String.length r && (String.sub r i n = sub || go (i + 1))
+        in
+        go 0
+      in
+      if not (contains names) then Alcotest.failf "%s does not name %S" r names)
+    [
+      ( {|{"kind":"sweep","workload":"sord","machine":"bgq","axis":"bw","values":[1e-320,7]}|},
+        "bw=" );
+      ( {|{"kind":"analyze","workload":"sord","machine":"bgq","overrides":{"freq_ghz":1e-310}}|},
+        "freq_ghz=1e-310" );
+    ];
+  Alcotest.(check int) "nothing cached" 0
+    (Service.Lru.length dispatch.Service.Dispatch.cache);
+  let absurd =
+    handle ~dispatch
+      {|{"kind":"analyze","workload":"sord","machine":"bgq","overrides":{"mem_bw_gbs":1e-300}}|}
+  in
+  match
+    Option.bind (Result.to_option (Json.of_string absurd)) (fun j ->
+        Option.bind (Json.member "result" j) (Json.member "total_ms"))
+  with
+  | Some (Json.Float ms) when Float.is_finite ms && ms > 1e300 -> ()
+  | _ -> Alcotest.failf "finite absurd time not answered: %s" absurd
 
 let test_oversized () =
   let dispatch =
@@ -418,7 +461,26 @@ let test_override_shares_sweep_slot () =
   let v = view dispatch in
   Alcotest.(check int) "no recompute" misses_after_sweep
     v.Service.Metrics.cache_misses;
-  Alcotest.(check int) "served from sweep's slot" 1 v.Service.Metrics.cache_hits
+  Alcotest.(check int) "served from sweep's slot" 1 v.Service.Metrics.cache_hits;
+  (* An explore over the swept values splices the stored bytes: no
+     miss, and its points are the sweep's, byte for byte. *)
+  let explore =
+    handle ~dispatch
+      {|{"kind":"explore","workload":"pedagogical","machine":"bgq","axes":[{"axis":"bw","values":[1,2,4]}]}|}
+  in
+  Alcotest.(check int) "explore adds no miss" misses_after_sweep
+    (view dispatch).Service.Metrics.cache_misses;
+  let points r =
+    match Option.bind (Result.to_option (Json.of_string r)) (Json.member "result") with
+    | Some res -> (
+      match Json.member "points" res with
+      | Some (Json.List ps) -> List.map Json.to_string ps
+      | _ -> Alcotest.failf "no points: %s" r)
+    | None -> Alcotest.failf "failed: %s" r
+  in
+  Alcotest.(check (list string)) "explore points are the sweep's"
+    (points (handle ~dispatch sweep_body))
+    (points explore)
 
 let test_different_queries_different_results () =
   let dispatch = Service.Dispatch.create () in
@@ -971,13 +1033,62 @@ let random_floats ~seed n =
       | 2 -> float_of_int (Random.State.int st 0x3FFFFFFF - 0x1FFFFFFF)
       | _ -> Random.State.float st 1e6 -. 5e5)
 
+(* The printer computes digits itself for 1e-10 <= |x| < 1e17 and
+   calls the C primitive elsewhere, so most draws land in that range:
+   log-uniform values, three-decimal values like the bench's, exact
+   decimal ties at the 17th digit (q 2^-j with q 5^j of 18 digits),
+   other odd multiples of 2^-j, and decimal powers with their
+   neighbours and both range edges; each with both signs. *)
+let fast_range_floats ~seed n =
+  let st = Random.State.make [| seed |] in
+  let log_uniform lo hi = 10. ** (lo +. Random.State.float st (hi -. lo)) in
+  let pow5 j = int_of_float (5. ** float_of_int j) in
+  let pow10 k = int_of_float (10. ** float_of_int k) in
+  let tie () =
+    let j = 2 + Random.State.int st 20 in
+    let lo = (pow10 17 + pow5 j - 1) / pow5 j
+    and hi = min (pow10 18 / pow5 j) (1 lsl 53) in
+    let q = (lo + Random.State.full_int st (max 1 (hi - lo))) lor 1 in
+    Float.ldexp (float_of_int q) (-j)
+  in
+  let dyadic () =
+    let q = Random.State.full_int st (1 lsl 53) lor 1 in
+    let j = Random.State.int st 90 in
+    Float.min (Float.ldexp (float_of_int q) (-j)) (Float.pred 1e17)
+  in
+  let drawn =
+    List.init n (fun i ->
+        let x =
+          match i mod 4 with
+          | 0 -> log_uniform (-10.) 17.
+          | 1 -> Float.round (log_uniform (-3.) 7. *. 1000.) /. 1000.
+          | 2 -> tie ()
+          | _ -> dyadic ()
+        in
+        if i land 4 = 0 then x else -.x)
+  in
+  let powers =
+    List.concat_map
+      (fun k ->
+        let p = float_of_string (Printf.sprintf "1e%d" k) in
+        [ p; Float.pred p; Float.succ p; Float.pred (Float.pred p) ])
+      (List.init 28 (fun i -> i - 10))
+  in
+  let edges =
+    [
+      2. ** 52.; Float.pred (2. ** 52.); Float.succ (2. ** 52.); 2. ** 53. +. 2.;
+      Float.pred 1e15 +. 0.5; 0.5; 0.25; 0.125; 1.5e-10; 9.5e-5; 9.5e16;
+    ]
+  in
+  drawn @ List.concat_map (fun x -> [ x; -.x ]) (powers @ edges)
+
 let test_float_repr_matches_printf () =
   List.iter
     (fun f ->
       let want = printf_repr f in
       if Json.float_repr f <> want then
         Alcotest.failf "float_repr %h: %S, Printf says %S" f (Json.float_repr f) want)
-    (float_edges @ random_floats ~seed:12 140_000)
+    (float_edges @ random_floats ~seed:12 140_000 @ fast_range_floats ~seed:14 520_000)
 
 (* Fingerprint keys render machine floats with "%.17g" too. *)
 let test_fingerprint_floats_match_printf () =
@@ -995,7 +1106,7 @@ let test_fingerprint_floats_match_printf () =
         i + n <= String.length key && (String.sub key i n = want || found (i + 1))
       in
       if not (found 0) then Alcotest.failf "key %S lacks %S" key want)
-    (float_edges @ random_floats ~seed:13 4_000)
+    (float_edges @ random_floats ~seed:13 4_000 @ fast_range_floats ~seed:15 20_000)
 
 let agree s =
   let parsed = Result.map ignore (Json.of_string s) in
