@@ -1034,14 +1034,17 @@ let cmd_serve =
     Arg.(value & opt int 4096 & info [ "cache" ] ~docv:"N" ~doc)
   in
   let sock_timeout_arg =
-    let doc = "Per-connection socket read/write deadline, seconds." in
+    let doc =
+      "Per-connection socket read/write deadline, seconds; also how long \
+       a connection may sit idle between requests."
+    in
     Arg.(value & opt float 10. & info [ "sock-timeout" ] ~docv:"SECONDS" ~doc)
   in
   let fault_inject_arg =
     let doc =
       "Arm fault injection, e.g. \
        $(b,drop=0.3,delay_p=0.2,delay_ms=50,overload=0.1,truncate=0.05) \
-       (probabilities per connection).  For resilience testing only."
+       (probabilities per request).  For resilience testing only."
     in
     Arg.(
       value & opt (some string) None & info [ "fault-inject" ] ~docv:"SPEC" ~doc)

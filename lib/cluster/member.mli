@@ -1,14 +1,27 @@
-(** One shard as the router sees it: address, health, and the
-    counters behind [cluster_stats] and the cluster Prometheus
-    families.  All mutation is behind a per-member mutex — the data
-    path (worker domains) and the prober thread race on these. *)
+(** One shard as the router sees it: address, health, the
+    persistent connections that forwards to it share, and the counters
+    behind [cluster_stats] and the cluster Prometheus families.  All
+    mutation is behind a per-member mutex — the data path (worker
+    domains) and the prober thread race on these. *)
 
 type t
 
-val create : id:string -> host:string -> port:int -> t
+(** [timeouts] are the deadlines the member's pooled connections
+    carry. *)
+val create :
+  id:string ->
+  host:string ->
+  port:int ->
+  timeouts:Skope_service.Client.timeouts ->
+  t
+
 val id : t -> string
 val host : t -> string
 val port : t -> int
+
+(** The idle connections forwards take and give back; closed when the
+    member is ejected. *)
+val pool : t -> Skope_service.Client.pool
 
 (** Current health, and whether the member is routable. *)
 val health : t -> Health.state
@@ -21,7 +34,7 @@ val in_flight : t -> int
 
 (** Feed a data-path or probe outcome through {!Health.observe};
     returns the transition event, if any, so the caller can rebuild
-    the ring. *)
+    the ring.  An ejection closes the member's idle connections. *)
 val observe : Health.config -> t -> ok:bool -> Health.event option
 
 val begin_request : t -> unit

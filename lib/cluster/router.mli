@@ -7,7 +7,8 @@
     the shard caches are disjoint: a given fingerprint is only ever
     built, and only ever a hit, on one shard.  Unkeyed requests
     (catalogs, version, stats) spread round-robin.  Forwarding rides
-    the existing {!Skope_service.Client} retry/deadline machinery; a
+    the existing {!Skope_service.Client} retry/deadline machinery over
+    each member's persistent connections ({!Member.pool}); a
     [refused]/[timeout] terminal failure fails over to the next ring
     successor and feeds the member's {!Health} state machine, ejecting
     it from the ring after [fall] consecutive failures.  A background

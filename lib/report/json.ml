@@ -317,18 +317,18 @@ let advance st = st.pos <- st.pos + 1
 
 let fail st msg = raise (Parse_error (st.pos, msg))
 
-(* The hot loops below walk a local index and store the cursor once. *)
-let skip_ws st =
-  let s = st.text in
-  let n = String.length s in
-  let rec go i =
-    if i < n then
-      match String.unsafe_get s i with
-      | ' ' | '\t' | '\n' | '\r' -> go (i + 1)
-      | _ -> i
-    else i
-  in
-  st.pos <- go st.pos
+(* The hot loops below are top-level functions over the text and a
+   local index, storing the cursor once.  A local recursive function
+   would capture the text, and without flambda that allocates a
+   closure on every call, which a scan makes per token. *)
+let rec ws_end s i =
+  if i < String.length s then
+    match String.unsafe_get s i with
+    | ' ' | '\t' | '\n' | '\r' -> ws_end s (i + 1)
+    | _ -> i
+  else i
+
+let skip_ws st = st.pos <- ws_end st.text st.pos
 
 let expect st c =
   let x = peek st in
@@ -337,12 +337,16 @@ let expect st c =
     fail st (Printf.sprintf "expected %C, found end of input" c)
   else fail st (Printf.sprintf "expected %C, found %C" c x)
 
+(* [word] from byte [i] on occurs in [s] at [pos + i]. *)
+let rec matches s pos word i =
+  i = String.length word
+  || String.unsafe_get s (pos + i) = String.unsafe_get word i
+     && matches s pos word (i + 1)
+
 let literal st word value =
   let n = String.length word in
-  let rec matches i =
-    i = n || (String.unsafe_get st.text (st.pos + i) = word.[i] && matches (i + 1))
-  in
-  if st.pos + n <= String.length st.text && matches 0 then begin
+  if st.pos + n <= String.length st.text && matches st.text st.pos word 0
+  then begin
     st.pos <- st.pos + n;
     value
   end
@@ -385,18 +389,16 @@ let hex4 st =
 
 (* Advance over a string's unescaped bytes.  Returns [true] on the
    closing quote (not consumed), [false] on a backslash. *)
+let rec plain_end s i =
+  if i >= String.length s then i
+  else
+    match String.unsafe_get s i with
+    | '"' | '\\' -> i
+    | c when Char.code c < 0x20 -> i
+    | _ -> plain_end s (i + 1)
+
 let scan_plain st =
-  let s = st.text in
-  let n = String.length s in
-  let rec go i =
-    if i >= n then i
-    else
-      match String.unsafe_get s i with
-      | '"' | '\\' -> i
-      | c when Char.code c < 0x20 -> i
-      | _ -> go (i + 1)
-  in
-  st.pos <- go st.pos;
+  st.pos <- plain_end st.text st.pos;
   match peek st with
   | '"' -> true
   | '\\' -> false
@@ -471,15 +473,14 @@ let skip_string st =
     ignore (parse_string st)
   end
 
+let rec digits_end s i =
+  if i < String.length s then
+    match String.unsafe_get s i with '0' .. '9' -> digits_end s (i + 1) | _ -> i
+  else i
+
 let digits st =
-  let s = st.text in
-  let n = String.length s in
-  let rec go i =
-    if i < n then match String.unsafe_get s i with '0' .. '9' -> go (i + 1) | _ -> i
-    else i
-  in
   let start = st.pos in
-  st.pos <- go start;
+  st.pos <- digits_end st.text start;
   if st.pos = start then fail st "expected digit"
 
 (* Advance over one number; returns whether it has a fraction or an
@@ -514,42 +515,52 @@ let parse_number st =
     | None -> Float (float_of_string s)
 
 (* The container grammar, shared by the parser and the checker: the
-   cursor is on the opening bracket; [item] reads one element, [member]
-   one object member from its key on. *)
-let walk_array st item =
-  advance st;
+   cursor is on the opening bracket; [item] reads one element and
+   [member] one object member from its key on, each threading [acc].
+   The walkers and the functions passed to them are top-level, so a
+   container costs no closure. *)
+let rec array_items st item acc =
+  let acc = item st acc in
   skip_ws st;
-  if peek st = ']' then advance st
-  else
-    let rec items () =
-      item ();
-      skip_ws st;
-      match peek st with
-      | ',' ->
-        advance st;
-        items ()
-      | ']' -> advance st
-      | _ -> fail st "expected ',' or ']' in array"
-    in
-    items ()
+  match peek st with
+  | ',' ->
+    advance st;
+    array_items st item acc
+  | ']' ->
+    advance st;
+    acc
+  | _ -> fail st "expected ',' or ']' in array"
 
-let walk_object st member =
+let walk_array st item acc =
   advance st;
   skip_ws st;
-  if peek st = '}' then advance st
-  else
-    let rec members () =
-      skip_ws st;
-      member ();
-      skip_ws st;
-      match peek st with
-      | ',' ->
-        advance st;
-        members ()
-      | '}' -> advance st
-      | _ -> fail st "expected ',' or '}' in object"
-    in
-    members ()
+  if peek st = ']' then begin
+    advance st;
+    acc
+  end
+  else array_items st item acc
+
+let rec object_members st member acc =
+  skip_ws st;
+  let acc = member st acc in
+  skip_ws st;
+  match peek st with
+  | ',' ->
+    advance st;
+    object_members st member acc
+  | '}' ->
+    advance st;
+    acc
+  | _ -> fail st "expected ',' or '}' in object"
+
+let walk_object st member acc =
+  advance st;
+  skip_ws st;
+  if peek st = '}' then begin
+    advance st;
+    acc
+  end
+  else object_members st member acc
 
 let colon st =
   skip_ws st;
@@ -567,18 +578,16 @@ let rec parse_value st =
   | 'f' -> literal st "false" (Bool false)
   | '"' -> String (parse_string st)
   | '-' | '0' .. '9' -> parse_number st
-  | '[' ->
-    let items = ref [] in
-    walk_array st (fun () -> items := parse_value st :: !items);
-    List (List.rev !items)
-  | '{' ->
-    let fields = ref [] in
-    walk_object st (fun () ->
-        let k = parse_string st in
-        colon st;
-        fields := (k, parse_value st) :: !fields);
-    Obj (List.rev !fields)
+  | '[' -> List (List.rev (walk_array st parse_item []))
+  | '{' -> Obj (List.rev (walk_object st parse_member []))
   | _ -> unexpected st
+
+and parse_item st items = parse_value st :: items
+
+and parse_member st fields =
+  let k = parse_string st in
+  colon st;
+  (k, parse_value st) :: fields
 
 let rec check_value st =
   skip_ws st;
@@ -588,13 +597,16 @@ let rec check_value st =
   | 'f' -> literal st "false" ()
   | '"' -> skip_string st
   | '-' | '0' .. '9' -> ignore (scan_number st)
-  | '[' -> walk_array st (fun () -> check_value st)
-  | '{' ->
-    walk_object st (fun () ->
-        skip_string st;
-        colon st;
-        check_value st)
+  | '[' -> walk_array st check_item ()
+  | '{' -> walk_object st check_member ()
   | _ -> unexpected st
+
+and check_item st () = check_value st
+
+and check_member st () =
+  skip_string st;
+  colon st;
+  check_value st
 
 let run value text =
   let st = { text; pos = 0 } in

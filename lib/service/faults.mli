@@ -1,9 +1,9 @@
 (** Seeded fault injection for `skoped` — a deterministic chaos layer.
 
     A {!spec} gives each fault class an independent probability; a
-    seeded {!t} turns it into a reproducible stream of per-connection
+    seeded {!t} turns it into a reproducible stream of per-request
     {!decision}s.  The server applies decisions at well-defined points
-    of the connection lifecycle (see {!Server}), so every client
+    of a request's lifecycle (see {!Server}), so every client
     retry/degradation path can be exercised deterministically in tests
     and in the smoke script: same seed, same spec, same traffic order
     — same faults.
@@ -50,7 +50,7 @@ val seed : t -> int
     log event each injected fault emits, so a logged fault names the
     schedule that produced it. *)
 
-(** What to do with one connection.  Fault classes draw independently
+(** What to do with one request.  Fault classes draw independently
     (in the fixed order drop, overload, truncate, delay) so a given
     seed yields the same decision sequence regardless of which faults
     are enabled. *)

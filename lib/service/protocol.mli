@@ -1,5 +1,6 @@
-(** `skoped` wire protocol: newline-delimited JSON over TCP, one
-    request per connection.
+(** `skoped` wire protocol: newline-delimited JSON over TCP.  A
+    connection carries one request line after another, each answered
+    by one response line, in order.
 
     Requests are JSON objects with a ["kind"] field:
 

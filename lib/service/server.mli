@@ -1,27 +1,39 @@
 (** `skoped` — the TCP server.
 
     One accept loop feeds a bounded {!Workqueue} drained by a fixed
-    pool of OCaml 5 [Domain] workers; each worker reads one
-    newline-terminated JSON request from its connection, writes the
-    response line and closes.
+    pool of OCaml 5 [Domain] workers.  A connection carries any number
+    of newline-terminated JSON requests, each answered by one response
+    line, in order.  A worker reads one request, writes its response
+    and hands the connection back to the accept loop, which watches
+    its idle connections with [select] alongside the listening socket:
+    a connection that becomes readable is queued like a fresh accept,
+    and one whose client has closed is closed without waking a worker.
+    An idle connection never holds a worker.
 
     Reliability posture:
     - {b Admission control}: when the work queue is full, the accept
       loop does not block or let the kernel backlog absorb the load —
       it immediately writes a structured [overloaded] error (with a
       [retry_after_ms] hint derived from queue depth) and closes,
-      bumping the [requests_shed] counter.
-    - {b Per-connection deadlines}: every worker socket carries
+      bumping the [requests_shed] counter.  That holds for a fresh
+      accept and for an idle connection that becomes readable alike.
+    - {b Per-connection deadlines}: every accepted socket carries
       [SO_RCVTIMEO]/[SO_SNDTIMEO] from the config, so a stalled client
       costs one deadline, not a worker; expiries bump
-      [connections_timed_out].
+      [connections_timed_out].  A connection idle between requests for
+      the read timeout is closed.  The idle set holds at most
+      [queue_capacity] connections (a newcomer past that closes the
+      longest idle one), and a connection whose descriptor [select]
+      cannot watch is closed after its reply.
     - {b Graceful shutdown}: SIGINT/SIGTERM (or the [stop] flag) stop
-      the accept loop; queued requests drain, workers join, and only
-      then does [run] return.
-    - {b Fault injection}: an optional {!Faults.t} perturbs
-      connections (drop / delay / truncate / injected overload) for
-      testing client resilience; every injection bumps
-      [faults_injected]. *)
+      the accept loop and close the idle connections; queued requests
+      drain, each connection is closed after its reply, workers join,
+      and only then does [run] return.
+    - {b Fault injection}: an optional {!Faults.t} perturbs requests
+      (drop / delay / truncate / injected overload) for testing client
+      resilience; every injection bumps [faults_injected].  Decisions
+      are drawn per request, and a drop or a truncation closes the
+      connection. *)
 
 (** Transport-level knobs, independent of what the handler does. *)
 type net = {
@@ -50,8 +62,9 @@ type config = {
 val default_config : config
 
 (** The generic accept-loop/worker-pool server: [handler] receives one
-    request body per connection (with the accept timestamp, so queue
-    wait counts toward deadlines) and returns the response line.  All
+    request body at a time (with the time it arrived: accepted, or
+    found readable on an idle connection, so queue wait counts toward
+    deadlines) and returns the response line.  All
     the reliability posture above — admission control, per-connection
     deadlines, graceful drain, optional fault injection — applies to
     any handler.  [handle_signals] (default [true]) installs the

@@ -1,6 +1,7 @@
-(** Bounded blocking FIFO connecting the accept loop to the worker
-    pool.  [push] blocks when full (backpressure on accept), [pop]
-    blocks when empty. *)
+(** Bounded FIFO connecting the accept loop to the worker pool.  The
+    loop queues with [try_push] and sheds when it is full; [push]
+    blocks when full (shutdown posts its stop messages with it), and
+    [pop] blocks when empty. *)
 
 type 'a t
 

@@ -255,6 +255,23 @@ echo "smoke: error paths return structured errors (and nonzero exit)"
 if q -w no-such-workload >/dev/null 2>&1; then fail "unknown workload accepted"; fi
 if q --body 'not json' >/dev/null 2>&1; then fail "malformed body accepted"; fi
 
+echo "smoke: one connection carries two requests, answered in order"
+exec 3<>"/dev/tcp/127.0.0.1/$SERVER_PORT" || fail "raw connection to skoped"
+printf '%s\n%s\n' '{"kind":"version","trace":{"id":"smoke-keep-1"}}' \
+    '{"kind":"version","trace":{"id":"smoke-keep-2"}}' >&3
+read -r -t 5 KEEP1 <&3 || fail "no first reply on the kept connection"
+read -r -t 5 KEEP2 <&3 || fail "no second reply on the kept connection"
+exec 3<&- 3>&-
+# kept_reply N LINE: LINE is an ok reply carrying trace id smoke-keep-N.
+kept_reply() {
+    case "$2" in
+        '{"v":1,"ok":true'*"\"trace_id\":\"smoke-keep-$1\""*) ;;
+        *) fail "reply $1 on the kept connection: $2" ;;
+    esac
+}
+kept_reply 1 "$KEEP1"
+kept_reply 2 "$KEEP2"
+
 echo "smoke: load burst"
 q -w srad -m bgq --repeat 200 --concurrency 4 || fail "load burst"
 

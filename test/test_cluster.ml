@@ -13,6 +13,7 @@ module Health = Skope_cluster.Health
 module Aggregate = Skope_cluster.Aggregate
 module Router = Skope_cluster.Router
 module Local = Skope_cluster.Local
+module Span = Skope_telemetry.Span
 
 (* Fingerprint-shaped keys (32 hex chars), deterministic. *)
 let keys n = List.init n (fun i -> Digest.to_hex (Digest.string (string_of_int i)))
@@ -581,6 +582,57 @@ let test_e2e_failover_and_ejection () =
           (shard_of (request port body))
       done)
 
+(* The router keeps its connection to a shard between forwards.  A
+   shard that closes it while idle (its read timeout, 0.2 s here) costs
+   the next forward a fresh connection, not a retry or a failover. *)
+let test_e2e_pool_survives_idle_close () =
+  Test_service.with_server ~pool:1 ~read_timeout:0.2 (fun port ->
+      let t =
+        Router.create
+          {
+            Router.default_config with
+            Router.members =
+              [ { Router.m_id = "s0"; m_host = "127.0.0.1"; m_port = port } ];
+          }
+      in
+      let open_fds () =
+        if Sys.file_exists "/proc/self/fd" then
+          Some (Array.length (Sys.readdir "/proc/self/fd"))
+        else None
+      in
+      let retries () =
+        Option.value ~default:0.
+          (List.assoc_opt "client_retries" (Span.counters ()))
+      in
+      let forward () =
+        let resp = Router.handle t (analyze_body 0.3) in
+        Alcotest.(check (option string)) "answered by s0" (Some "s0")
+          (Router.shard_of_response resp);
+        ignore (response_result resp)
+      in
+      let fds = open_fds () and retries0 = retries () in
+      forward ();
+      (* both ends of the kept connection are this process's *)
+      Alcotest.(check (option int)) "connection kept"
+        (Option.map (( + ) 2) fds) (open_fds ());
+      Thread.delay 1.0;
+      Alcotest.(check (option int)) "shard closed its end"
+        (Option.map (( + ) 1) fds) (open_fds ());
+      forward ();
+      Alcotest.(check (option int)) "stale connection replaced"
+        (Option.map (( + ) 2) fds) (open_fds ());
+      Alcotest.(check (float 0.)) "no client retries" retries0 (retries ());
+      let stats =
+        response_result (Router.handle t (Api.to_body Api.Cluster_stats))
+      in
+      Alcotest.(check int) "no failover" 0
+        (int_at [ "router"; "failovers" ] stats);
+      match Json.member "members" stats with
+      | Some (Json.List [ m ]) ->
+        Alcotest.(check int) "no transport error" 0 (int_at [ "errors" ] m);
+        Alcotest.(check int) "both forwarded" 2 (int_at [ "forwarded" ] m)
+      | _ -> Alcotest.fail "expected one member")
+
 let test_e2e_no_shard_is_structured () =
   with_cluster ~shards:1 (fun c ->
       let port = Local.router_port c in
@@ -728,5 +780,7 @@ let suite =
           test_e2e_no_shard_is_structured;
         Alcotest.test_case "trace propagation" `Quick
           test_e2e_trace_propagation;
+        Alcotest.test_case "pooled forward survives an idle close" `Quick
+          test_e2e_pool_survives_idle_close;
       ] );
   ]

@@ -679,7 +679,7 @@ let test_parse_overloaded_response () =
 (* Run a real server on an ephemeral port for the duration of [f].
    The [stop] flag (not a signal) ends the accept loop so the server
    drains and joins deterministically inside the test process. *)
-let with_server ?faults ?(pool = 2) ?(queue = 8) f =
+let with_server ?faults ?(pool = 2) ?(queue = 8) ?read_timeout f =
   let stop = Atomic.make false in
   let port = ref 0 in
   let config =
@@ -688,6 +688,8 @@ let with_server ?faults ?(pool = 2) ?(queue = 8) f =
       port = 0;
       pool;
       queue_capacity = queue;
+      read_timeout_s =
+        Option.value read_timeout ~default:Server.default_config.read_timeout_s;
       faults;
       dispatch =
         { Service.Dispatch.default_config with cache_capacity = 64 };
@@ -1153,6 +1155,31 @@ let test_check_edge_texts () =
       "[1]  "; "\"esc \\n then plain\""; {|{"k\"ey":[true,false,null]}|};
     ]
 
+(* The scanner allocates nothing per byte: a text with every token
+   kind (nested containers, fractions, exponents, literals, plain
+   strings) costs the same few minor words checked once or repeated a
+   hundred times. *)
+let test_check_allocates_nothing () =
+  let unit_text =
+    {|{"a":[1,-2.5,3e10,{"b":null,"c":[true,false]}],"d":"plain text","e":{"f":[[-0.125E-3,0]],"g":""}}|}
+  in
+  let words k =
+    let text = "[" ^ String.concat ", " (List.init k (fun _ -> unit_text)) ^ "]" in
+    let before = Gc.minor_words () in
+    let result = Json.check text in
+    let after = Gc.minor_words () in
+    Alcotest.(check bool) "well formed" true (result = Ok ());
+    after -. before
+  in
+  let once = words 1 in
+  Alcotest.(check bool)
+    (Printf.sprintf "a few words (%.0f)" once)
+    true (once <= 16.);
+  List.iter
+    (fun k ->
+      Alcotest.(check (float 0.)) (Printf.sprintf "%d copies" k) once (words k))
+    [ 10; 100 ]
+
 let explore_body =
   {|{"kind":"explore","workload":"pedagogical","machine":"bgq","axes":[{"axis":"bw","values":[1,2,4,8]},{"axis":"freq","values":[0.8,1.2,1.6,2.0]}],"trace":{"id":"t-explore"}}|}
 
@@ -1198,6 +1225,112 @@ let test_client_classify_body () =
   Alcotest.(check bool) "other errors are replies" true
     (Client.classify_body invalid = Ok invalid)
 
+(* --- connections that carry many requests ---------------------------- *)
+
+(* A raw client connection with a 2 s read deadline. *)
+let connect_raw port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 2.;
+  fd
+
+let send_raw fd s = ignore (Unix.write_substring fd s 0 (String.length s))
+
+let version_line id =
+  Printf.sprintf {|{"kind":"version","trace":{"id":"%s"}}|} id ^ "\n"
+
+(* The first [n] reply lines, or those that came before EOF. *)
+let read_lines fd n =
+  let buf = Buffer.create 1024 and chunk = Bytes.create 4096 in
+  let complete () =
+    match List.rev (String.split_on_char '\n' (Buffer.contents buf)) with
+    | _partial :: lines -> List.rev lines
+    | [] -> []
+  in
+  let rec go () =
+    if List.length (complete ()) < n then
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | 0 -> ()
+      | k ->
+        Buffer.add_subbytes buf chunk 0 k;
+        go ()
+  in
+  go ();
+  List.filteri (fun i _ -> i < n) (complete ())
+
+let reads_eof fd = Unix.read fd (Bytes.create 1) 0 1 = 0
+
+let ask fd id =
+  send_raw fd (version_line id);
+  match read_lines fd 1 with
+  | [ reply ] ->
+    Alcotest.(check (option string)) "reply to its request" (Some id)
+      (trace_id_of reply)
+  | _ -> Alcotest.failf "no reply to %s" id
+
+let test_connection_carries_requests () =
+  with_server (fun port ->
+      let fd = connect_raw port in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          List.iter (ask fd) [ "k1"; "k2"; "k3" ];
+          (* two requests in one write: answered in order *)
+          send_raw fd (version_line "p1" ^ version_line "p2");
+          Alcotest.(check (list (option string)))
+            "pipelined replies in order" [ Some "p1"; Some "p2" ]
+            (List.map trace_id_of (read_lines fd 2))))
+
+let test_idle_connection_pins_no_worker () =
+  with_server ~pool:1 (fun port ->
+      let idle = connect_raw port in
+      Fun.protect
+        ~finally:(fun () -> Unix.close idle)
+        (fun () ->
+          ask idle "first";
+          let t0 = Unix.gettimeofday () in
+          (match Client.roundtrip ~host:"127.0.0.1" ~port version_body with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "second connection: %a" Client.pp_error e);
+          Alcotest.(check bool) "answered within 100 ms" true
+            (Unix.gettimeofday () -. t0 < 0.1);
+          ask idle "again"))
+
+let test_stop_closes_idle_connections () =
+  let idle = ref None and stopping = ref 0. in
+  with_server (fun port ->
+      let fd = connect_raw port in
+      idle := Some fd;
+      ask fd "before-stop";
+      stopping := Unix.gettimeofday ());
+  let fd = Option.get !idle in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Alcotest.(check bool) "stop returns promptly" true
+        (Unix.gettimeofday () -. !stopping < 1.);
+      Alcotest.(check bool) "idle peer reads EOF" true (reads_eof fd))
+
+let test_idle_set_capped () =
+  with_server ~queue:2 (fun port ->
+      let conns = ref [] in
+      Fun.protect
+        ~finally:(fun () -> List.iter Unix.close !conns)
+        (fun () ->
+          for i = 0 to 2 do
+            let fd = connect_raw port in
+            conns := !conns @ [ fd ];
+            ask fd (Printf.sprintf "idle-%d" i);
+            Thread.delay 0.02
+          done;
+          let conns = !conns in
+          (match Client.roundtrip ~host:"127.0.0.1" ~port version_body with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "fresh request: %a" Client.pp_error e);
+          Alcotest.(check bool) "longest idle reads EOF" true
+            (reads_eof (List.hd conns));
+          ask (List.nth conns 2) "newest"))
+
 let suite =
   [
     ( "service.json",
@@ -1215,6 +1348,8 @@ let suite =
         Alcotest.test_case "check edge texts" `Quick test_check_edge_texts;
         Alcotest.test_case "check on mutated replies" `Quick
           test_check_real_replies;
+        Alcotest.test_case "check allocates nothing" `Quick
+          test_check_allocates_nothing;
       ] );
     ( "service.protocol",
       [
@@ -1285,5 +1420,15 @@ let suite =
           test_client_refused_is_structured;
         Alcotest.test_case "retries ride through drops" `Quick
           test_retries_ride_through_drops;
+      ] );
+    ( "service.connections",
+      [
+        Alcotest.test_case "many requests per connection" `Quick
+          test_connection_carries_requests;
+        Alcotest.test_case "idle connection pins no worker" `Quick
+          test_idle_connection_pins_no_worker;
+        Alcotest.test_case "stop closes idle connections" `Quick
+          test_stop_closes_idle_connections;
+        Alcotest.test_case "idle set capped" `Quick test_idle_set_capped;
       ] );
   ]
