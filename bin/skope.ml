@@ -1108,15 +1108,17 @@ let cmd_serve =
     end;
     let config =
       {
-        S.port;
-        host;
-        queue_capacity = queue;
-        pool = Option.value ~default:S.default_config.S.pool pool;
-        read_timeout_s = sock_timeout;
-        write_timeout_s = sock_timeout;
+        S.net =
+          {
+            S.n_host = host;
+            n_port = port;
+            n_pool = Option.value ~default:S.default_net.S.n_pool pool;
+            n_queue_capacity = queue;
+            n_read_timeout_s = sock_timeout;
+            n_write_timeout_s = sock_timeout;
+          };
         faults;
-        dispatch =
-          { Skope_service.Dispatch.default_config with cache_capacity = cache };
+        dispatch = { Skope_service.Dispatch.cache_capacity = cache };
       }
     in
     try S.run config
@@ -1222,10 +1224,14 @@ let cmd_route =
     let config =
       {
         Router.default_config with
-        Router.host;
-        port;
-        pool;
-        queue_capacity = queue;
+        Router.net =
+          {
+            Router.default_config.Router.net with
+            Skope_service.Server.n_host = host;
+            n_port = port;
+            n_pool = pool;
+            n_queue_capacity = queue;
+          };
         members;
         vnodes;
         ring_seed;
@@ -1669,8 +1675,8 @@ let cmd_query =
           C.load_multi ~timeouts ~retry ~on_result ~host ~port ~repeat
             ~concurrency bodies
         | None ->
-          C.load ~timeouts ~retry ~on_result ~host ~port ~repeat ~concurrency
-            (body ())
+          C.load_multi ~timeouts ~retry ~on_result ~host ~port ~repeat
+            ~concurrency [| body () |]
       in
       Fmt.pr "%a@." C.pp_load_report report;
       if Hashtbl.length shard_stats > 0 then begin

@@ -45,12 +45,14 @@ let start ?stop ?(host = "127.0.0.1") ?(router_port = 0) ?(shards = 2)
             let config =
               {
                 Server.default_config with
-                Server.host;
-                port = 0;
-                pool = shard_pool;
-                queue_capacity = shard_queue;
-                dispatch =
-                  { Dispatch.default_config with Dispatch.cache_capacity };
+                Server.net =
+                  {
+                    Server.default_net with
+                    Server.n_host = host;
+                    n_pool = shard_pool;
+                    n_queue_capacity = shard_queue;
+                  };
+                dispatch = { Dispatch.cache_capacity };
               }
             in
             Server.run ~stop:shard_stops.(i) ~handle_signals:false
@@ -87,9 +89,13 @@ let start ?stop ?(host = "127.0.0.1") ?(router_port = 0) ?(shards = 2)
         let config =
           {
             Router.default_config with
-            Router.host;
-            port = router_port;
-            pool = router_pool;
+            Router.net =
+              {
+                Router.default_config.Router.net with
+                Server.n_host = host;
+                n_port = router_port;
+                n_pool = router_pool;
+              };
             members;
             probe_interval_s;
             health;

@@ -2,6 +2,7 @@ module Json = Skope_report.Json
 module Span = Skope_telemetry.Span
 module Log = Skope_telemetry.Log
 module Recorder = Skope_telemetry.Recorder
+module Prom = Skope_telemetry.Prom
 module Traceview = Skope_service.Traceview
 module Client = Skope_service.Client
 module Protocol = Skope_service.Protocol
@@ -12,12 +13,7 @@ module Dispatch = Skope_service.Dispatch
 type member_spec = { m_id : string; m_host : string; m_port : int }
 
 type config = {
-  host : string;
-  port : int;
-  pool : int;
-  queue_capacity : int;
-  read_timeout_s : float;
-  write_timeout_s : float;
+  net : Server.net;
   members : member_spec list;
   vnodes : int;
   ring_seed : int;
@@ -31,12 +27,7 @@ type config = {
 
 let default_config =
   {
-    host = "127.0.0.1";
-    port = 7878;
-    pool = 4;
-    queue_capacity = 128;
-    read_timeout_s = 10.;
-    write_timeout_s = 10.;
+    net = { Server.default_net with Server.n_port = 7878; n_pool = 4 };
     members = [];
     vnodes = 128;
     ring_seed = 42;
@@ -421,58 +412,59 @@ let run_capabilities t =
   Json.Obj (fields @ [ ("cluster", cluster_topology t) ])
 
 let router_exposition t =
-  let buf = Buffer.create 1024 in
-  let family name typ help emit =
-    Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name help);
-    Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name typ);
-    emit (fun line -> Buffer.add_string buf (line ^ "\n"))
+  let count n = [ ([], float_of_int n) ] in
+  let per_member value =
+    Array.to_list t.members
+    |> List.map (fun m ->
+           ([ ("shard", Member.id m) ], float_of_int (value (Member.snapshot m))))
   in
-  let per_member emit_line value =
-    Array.iter
-      (fun m ->
-        let s = Member.snapshot m in
-        emit_line (Member.id m) (value s))
-      t.members
-  in
-  family "skope_cluster_shards" "gauge" "Configured cluster shards."
-    (fun out ->
-      out (Printf.sprintf "skope_cluster_shards %d" (Array.length t.members)));
-  family "skope_cluster_healthy" "gauge" "Routable (non-ejected) shards."
-    (fun out ->
-      out (Printf.sprintf "skope_cluster_healthy %d" (healthy_count t)));
-  family "skope_cluster_requests_total" "counter"
-    "Requests handled by the router." (fun out ->
-      out
-        (Printf.sprintf "skope_cluster_requests_total %d"
-           (Atomic.get t.requests)));
-  family "skope_cluster_member_available" "gauge"
-    "Per-shard availability (1 = routable)." (fun out ->
-      per_member
-        (fun id v -> out (Printf.sprintf
-             "skope_cluster_member_available{shard=%S} %d" id v))
-        (fun s -> if Health.available s.Member.s_health then 1 else 0));
-  family "skope_cluster_forwards_total" "counter"
-    "Responses obtained from each shard." (fun out ->
-      per_member
-        (fun id v ->
-          out (Printf.sprintf "skope_cluster_forwards_total{shard=%S} %d" id v))
-        (fun s -> s.Member.s_forwarded));
-  family "skope_cluster_failovers_total" "counter"
-    "Requests that failed over past each shard." (fun out ->
-      per_member
-        (fun id v ->
-          out
-            (Printf.sprintf "skope_cluster_failovers_total{shard=%S} %d" id v))
-        (fun s -> s.Member.s_failovers));
-  family "skope_cluster_probe_failures_total" "counter"
-    "Failed health probes per shard." (fun out ->
-      per_member
-        (fun id v ->
-          out
-            (Printf.sprintf "skope_cluster_probe_failures_total{shard=%S} %d"
-               id v))
-        (fun s -> s.Member.s_probes_failed));
-  Buffer.contents buf
+  Prom.render
+    [
+      Prom.Gauge
+        {
+          name = "skope_cluster_shards";
+          help = "Configured cluster shards.";
+          values = count (Array.length t.members);
+        };
+      Prom.Gauge
+        {
+          name = "skope_cluster_healthy";
+          help = "Routable (non-ejected) shards.";
+          values = count (healthy_count t);
+        };
+      Prom.Counter
+        {
+          name = "skope_cluster_requests_total";
+          help = "Requests handled by the router.";
+          values = count (Atomic.get t.requests);
+        };
+      Prom.Gauge
+        {
+          name = "skope_cluster_member_available";
+          help = "Per-shard availability (1 = routable).";
+          values =
+            per_member (fun s ->
+                if Health.available s.Member.s_health then 1 else 0);
+        };
+      Prom.Counter
+        {
+          name = "skope_cluster_forwards_total";
+          help = "Responses obtained from each shard.";
+          values = per_member (fun s -> s.Member.s_forwarded);
+        };
+      Prom.Counter
+        {
+          name = "skope_cluster_failovers_total";
+          help = "Requests that failed over past each shard.";
+          values = per_member (fun s -> s.Member.s_failovers);
+        };
+      Prom.Counter
+        {
+          name = "skope_cluster_probe_failures_total";
+          help = "Failed health probes per shard.";
+          values = per_member (fun s -> s.Member.s_probes_failed);
+        };
+    ]
 
 let run_metrics_prom t =
   let parts =
@@ -492,19 +484,7 @@ let run_metrics_prom t =
       ("body", Json.String (router_exposition t ^ Aggregate.merge parts));
     ]
 
-(* --- flight recorder: router-side recent + merged traces ------------ *)
-
-let run_recent t (q : Protocol.recent_query) =
-  let records =
-    Recorder.recent ~n:q.Protocol.rc_n ~errors_only:q.Protocol.rc_errors_only
-      ?min_duration_ms:q.Protocol.rc_min_ms t.recorder
-  in
-  Json.Obj
-    [
-      ("count", Json.Int (List.length records));
-      ("capacity", Json.Int (Recorder.capacity t.recorder));
-      ("records", Json.List (List.map Traceview.record_summary_json records));
-    ]
+(* --- flight recorder: merged traces ---------------------------------- *)
 
 (* Fetch one shard's record of [id], relabelling its generic process
    name ("skoped") with the member id so a merged trace names both
@@ -557,92 +537,48 @@ let run_trace t id =
 
 (* --- entry points ---------------------------------------------------- *)
 
-(* Router-minted ids (used only when the client sent no trace context)
-   carry a distinct prefix so a log line names the process that minted
-   them. *)
-let next_trace = Atomic.make 1
-
-let mint_trace () =
-  Printf.sprintf "rtr-%06d" (Atomic.fetch_and_add next_trace 1)
-
 let handle ?received_at t body =
-  let received_at =
-    match received_at with Some x -> x | None -> Unix.gettimeofday ()
-  in
-  let queue_wait_ms =
-    Float.max 0. ((Unix.gettimeofday () -. received_at) *. 1e3)
-  in
   Atomic.incr t.requests;
-  match Protocol.parse_request body with
-  | Error (code, msg) -> Protocol.error_response code msg
-  | Ok (request, envelope) ->
-    let trace_id =
-      match envelope.Protocol.trace with
-      | Some tc -> tc.Protocol.t_id
-      | None -> mint_trace ()
+  Dispatch.answer ~recorder:t.recorder ~span:"route" ~prefix:"rtr" ?received_at
+    body
+  @@ fun call request ->
+  match request with
+  | Protocol.Cluster_stats -> Dispatch.Answer (run_cluster_stats t)
+  | Protocol.Capabilities -> Dispatch.Answer (run_capabilities t)
+  | Protocol.Metrics_prom -> Dispatch.Answer (run_metrics_prom t)
+  | Protocol.Recent q -> Dispatch.Answer (Traceview.recent_result t.recorder q)
+  | Protocol.Trace id -> (
+    match run_trace t id with
+    | Some result -> Dispatch.Answer result
+    | None ->
+      Dispatch.reject Protocol.Invalid_request
+        (Printf.sprintf
+           "no record of trace %S on the router or any routable shard" id))
+  | _ -> (
+    (* The shard enforces timeout_ms itself — queue wait is included
+       via the forward timeouts.  The forwarded body carries the
+       router's trace context. *)
+    let trace_id = call.Dispatch.trace_id in
+    let outcome, fails =
+      forward t ~trace_id
+        ~key:(affinity_key t request body)
+        (with_trace_context ~trace_id body)
     in
-    Recorder.begin_request t.recorder trace_id;
-    let kind = Protocol.kind_label request in
-    let outcome = ref "ok" in
-    let shard = ref None in
-    let retries = ref 0 in
-    let response =
-      Span.with_context ~attrs:[ ("trace_id", trace_id) ] @@ fun () ->
-      Span.with_ ~name:"route" @@ fun () ->
-      Span.set_attr "kind" kind;
-      try
-        match request with
-        | Protocol.Cluster_stats ->
-          Protocol.ok_response ~trace_id (run_cluster_stats t)
-        | Protocol.Capabilities ->
-          Protocol.ok_response ~trace_id (run_capabilities t)
-        | Protocol.Metrics_prom ->
-          Protocol.ok_response ~trace_id (run_metrics_prom t)
-        | Protocol.Recent q -> Protocol.ok_response ~trace_id (run_recent t q)
-        | Protocol.Trace id -> (
-          match run_trace t id with
-          | Some result -> Protocol.ok_response ~trace_id result
-          | None ->
-            outcome := Protocol.error_code_to_string Protocol.Invalid_request;
-            Protocol.error_response ~trace_id Protocol.Invalid_request
-              (Printf.sprintf
-                 "no record of trace %S on the router or any routable shard" id))
-        | _ -> (
-          (* The shard enforces timeout_ms itself — queue wait is
-             included via the forward timeouts.  The forwarded body
-             carries the router's trace context. *)
-          let key = affinity_key t request body in
-          let outcome_, fails =
-            forward t ~trace_id ~key (with_trace_context ~trace_id body)
-          in
-          retries := fails;
-          match outcome_ with
-          | Forwarded (m, resp) ->
-            shard := Some (Member.id m);
-            splice_reply ~trace_id ~shard:(Member.id m) resp
-          | Shard_overloaded { retry_after_ms; message } ->
-            outcome := Protocol.error_code_to_string Protocol.Overloaded;
-            Protocol.error_response ?retry_after_ms ~trace_id
-              Protocol.Overloaded message
-          | No_shard ->
-            Atomic.incr t.rejects;
-            outcome := Protocol.error_code_to_string Protocol.Overloaded;
-            Log.emit ~level:Log.Error ~trace_id "no_shard"
-              [ ("kind", Log.Str kind) ];
-            Protocol.error_response
-              ~retry_after_ms:(1000. *. t.config.probe_interval_s) ~trace_id
-              Protocol.Overloaded
-              "no healthy shard available; retry after the next probe cycle")
-      with exn ->
-        outcome := Protocol.error_code_to_string Protocol.Internal;
-        Protocol.error_response ~trace_id Protocol.Internal
-          (Printexc.to_string exn)
-    in
-    let finished_at = Unix.gettimeofday () in
-    Recorder.commit t.recorder ~trace_id ~kind ?shard:!shard ~outcome:!outcome
-      ~retries:!retries ~queue_wait_ms ~start:received_at
-      ~duration_ms:((finished_at -. received_at) *. 1e3) ();
-    response
+    call.Dispatch.retries <- fails;
+    match outcome with
+    | Forwarded (m, resp) ->
+      call.Dispatch.shard <- Some (Member.id m);
+      Dispatch.Relay (splice_reply ~trace_id ~shard:(Member.id m) resp)
+    | Shard_overloaded { retry_after_ms; message } ->
+      Dispatch.reject ?retry_after_ms Protocol.Overloaded message
+    | No_shard ->
+      Atomic.incr t.rejects;
+      Log.emit ~level:Log.Error ~trace_id "no_shard"
+        [ ("kind", Log.Str (Protocol.kind_label request)) ];
+      Dispatch.reject
+        ~retry_after_ms:(1000. *. t.config.probe_interval_s)
+        Protocol.Overloaded
+        "no healthy shard available; retry after the next probe cycle")
 
 (* Routable members get a cheap [version] probe; ejected ones must
    answer [capabilities] with a matching protocol version before
@@ -699,22 +635,11 @@ let run ?stop ?on_ready ?handle_signals (config : config) =
       fun port ->
         Fmt.pr
           "skope router listening on %s:%d (%d shards, %d vnodes, seed %d)@."
-          config.host port
+          config.net.Server.n_host port
           (List.length config.members)
           config.vnodes config.ring_seed;
         (* Scripts wait for this line before issuing queries. *)
         Format.pp_print_flush Format.std_formatter ()
-  in
-  let net =
-    {
-      Server.default_net with
-      Server.n_host = config.host;
-      n_port = config.port;
-      n_pool = config.pool;
-      n_queue_capacity = config.queue_capacity;
-      n_read_timeout_s = config.read_timeout_s;
-      n_write_timeout_s = config.write_timeout_s;
-    }
   in
   Fun.protect
     ~finally:(fun () ->
@@ -722,5 +647,5 @@ let run ?stop ?on_ready ?handle_signals (config : config) =
       Thread.join prober;
       Array.iter (fun m -> Client.close_idle (Member.pool m)) t.members)
   @@ fun () ->
-  Server.serve ~stop ~on_ready ?handle_signals ~recorder:t.recorder net
+  Server.serve ~stop ~on_ready ?handle_signals ~recorder:t.recorder config.net
     ~handler:(fun ~received_at body -> handle ~received_at t body)

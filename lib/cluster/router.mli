@@ -16,22 +16,19 @@
     protocol-version check — for ejected members) readmits recovered
     shards after [rise] consecutive successes.
 
-    The router answers three kinds locally: [cluster_stats] (topology,
+    The router answers five kinds locally: [cluster_stats] (topology,
     member health, per-shard cache stats), [capabilities] (a shard's
-    answer extended with a ["cluster"] object), and [metrics_prom]
+    answer extended with a ["cluster"] object), [metrics_prom]
     (per-shard scrapes merged by {!Aggregate} under its own
-    [skope_cluster_*] families).  Every proxied response gains a
-    ["shard"] field naming the member that produced it. *)
+    [skope_cluster_*] families), [recent] (its own flight recorder)
+    and [trace] (its record merged with the owning shard's).  Every
+    proxied response gains a ["shard"] field naming the member that
+    produced it. *)
 
 type member_spec = { m_id : string; m_host : string; m_port : int }
 
 type config = {
-  host : string;
-  port : int;  (** 0 picks an ephemeral port *)
-  pool : int;  (** router worker domains *)
-  queue_capacity : int;
-  read_timeout_s : float;
-  write_timeout_s : float;
+  net : Skope_service.Server.net;  (** the router's own listener *)
   members : member_spec list;
   vnodes : int;
   ring_seed : int;
@@ -43,9 +40,10 @@ type config = {
   load_factor : float;  (** bounded-load factor; [<= 0] disables *)
 }
 
-(** 4 workers, 128 vnodes, ring seed 42, fall 3 / rise 2, 2 s probe
-    interval, 1 forward retry, load factor 1.25 — and no members:
-    every deployment must name its shards. *)
+(** {!Skope_service.Server.default_net} on port 7878 with 4 workers,
+    128 vnodes, ring seed 42, fall 3 / rise 2, 2 s probe interval, 1
+    forward retry, load factor 1.25 — and no members: every deployment
+    must name its shards. *)
 val default_config : config
 
 type t
@@ -55,8 +53,12 @@ type t
     probe cycle or data-path failure corrects this). *)
 val create : config -> t
 
-(** Handle one request body (the router's [Server.serve] handler).
-    Never raises. *)
+(** Handle one request body (the router's [Server.serve] handler):
+    {!Skope_service.Dispatch.answer} with span ["route"], ids
+    ["rtr-NNNNNN"] and the router's own flight recorder, whose records
+    name the answering shard and the failovers.  So an oversized or
+    unparsable body is answered here, under a trace id, and never
+    reaches a shard.  Never raises. *)
 val handle : ?received_at:float -> t -> string -> string
 
 (** One synchronous probe sweep over all members — the prober thread's

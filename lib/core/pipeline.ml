@@ -63,7 +63,6 @@ let profile ?(seed = 42L) ~libmix ~inputs program : Hints.t =
 module Prepared = struct
   type t = {
     workload : Registry.t;
-    scale : float;
     program : Ast.program;
     inputs : (string * Value.t) list;
     hints : Hints.t;
@@ -109,11 +108,10 @@ module Prepared = struct
     let arena =
       Span.with_ ~name:"arena_build" (fun () -> Arena.of_build built)
     in
-    { workload; scale; program; inputs; hints; built; arena }
+    { workload; program; inputs; hints; built; arena }
 
   let built t = t.built
   let workload t = t.workload
-  let scale t = t.scale
   let strip_state o = { o with o_state = None }
 
   (* The arena ranks before we get here ([Arena_price.aggregate]), so

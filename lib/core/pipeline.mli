@@ -80,7 +80,6 @@ module Prepared : sig
 
   val built : t -> Build.result
   val workload : t -> Registry.t
-  val scale : t -> float
 
   (** Drop the delta-pricing state (callers retaining many outcomes
       should store them stripped). *)

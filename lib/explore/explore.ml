@@ -26,8 +26,6 @@ module Machine = Core.Hw.Machine
 module Designspace = Core.Hw.Designspace
 module Hotspot = Core.Analysis.Hotspot
 module Blockstat = Core.Analysis.Blockstat
-module Roofline = Core.Hw.Roofline
-module Perf = Core.Analysis.Perf
 module Span = Core.Telemetry.Span
 
 type point = {
@@ -41,7 +39,6 @@ type point = {
 }
 
 type result = {
-  prepared : P.Prepared.t;
   points : point list;  (** grid order *)
   pareto : point list;  (** non-dominated points, by increasing time *)
   elapsed : float;  (** wall seconds for the grid evaluation *)
@@ -95,15 +92,12 @@ let grid_points ?sample ?seed (base : Machine.t)
 (** Evaluate [pts] against a shared prepared BET.
 
     [jobs] sizes the domain pool (default 1: run in the caller's
-    domain, which is what the service does — its worker domains are
-    the pool).  [check_deadline] is called before each point and may
-    raise to abort; the first exception wins, the pool drains, and it
-    is re-raised to the caller.  [on_point] observes points as they
-    complete (serialized, any domain's points). *)
-let evaluate ?(jobs = 1) ?(criteria = Hotspot.default_criteria)
-    ?(opts = Roofline.default_opts) ?(cache = Perf.Constant)
-    ?check_deadline ?on_point (prepared : P.Prepared.t)
-    (pts : Designspace.point list) : result =
+    domain).  A point that raises aborts the grid: the first exception
+    wins, the pool drains, and it is re-raised to the caller.
+    [on_point] observes points as they complete (serialized, any
+    domain's points). *)
+let evaluate ?(jobs = 1) ?(criteria = Hotspot.default_criteria) ?on_point
+    (prepared : P.Prepared.t) (pts : Designspace.point list) : result =
   let t0 = Unix.gettimeofday () in
   let arr = Array.of_list pts in
   let n = Array.length arr in
@@ -115,16 +109,13 @@ let evaluate ?(jobs = 1) ?(criteria = Hotspot.default_criteria)
      [None] prev is a full pricing).  Chains never cross chunks, so
      workers share nothing mutable. *)
   let eval_one ~prev i =
-    (match check_deadline with Some f -> f () | None -> ());
     let pt = arr.(i) in
     let outcome =
       match prev with
       | Some prev ->
-        P.Prepared.project_delta ~criteria ~opts ~cache ~prev prepared
+        P.Prepared.project_delta ~criteria ~prev prepared
           pt.Designspace.p_machine
-      | None ->
-        P.Prepared.project ~criteria ~opts ~cache prepared
-          pt.Designspace.p_machine
+      | None -> P.Prepared.project ~criteria prepared pt.Designspace.p_machine
     in
     Span.count "explore_points_evaluated" 1.;
     (* Every priced point reuses the shared BET instead of rebuilding
@@ -188,7 +179,6 @@ let evaluate ?(jobs = 1) ?(criteria = Hotspot.default_criteria)
     Array.to_list results |> List.filter_map Fun.id
   in
   {
-    prepared;
     points;
     pareto = pareto_points points;
     elapsed = Unix.gettimeofday () -. t0;

@@ -15,8 +15,6 @@ module P = Core.Pipeline
 module Machine = Core.Hw.Machine
 module Designspace = Core.Hw.Designspace
 module Hotspot = Core.Analysis.Hotspot
-module Roofline = Core.Hw.Roofline
-module Perf = Core.Analysis.Perf
 
 (** One evaluated grid point. *)
 type point = {
@@ -30,7 +28,6 @@ type point = {
 }
 
 type result = {
-  prepared : P.Prepared.t;  (** the shared machine-independent handle *)
   points : point list;  (** grid order *)
   pareto : point list;  (** non-dominated points, by increasing time *)
   elapsed : float;  (** wall seconds for the grid evaluation *)
@@ -67,17 +64,13 @@ val grid_points :
 (** Evaluate the points against a shared prepared BET.
 
     [jobs] sizes the domain pool (default 1: run in the caller's
-    domain — the service path, whose worker domains are the pool).
-    [check_deadline] runs before each point and may raise to abort:
-    the first exception wins, the pool drains, and it is re-raised.
-    [on_point] observes points as they complete (calls are
-    serialized; order follows completion, not grid order). *)
+    domain).  A point that raises aborts the grid: the first exception
+    wins, the pool drains, and it is re-raised.  [on_point] observes
+    points as they complete (calls are serialized; order follows
+    completion, not grid order). *)
 val evaluate :
   ?jobs:int ->
   ?criteria:Hotspot.criteria ->
-  ?opts:Roofline.opts ->
-  ?cache:Perf.cache_model ->
-  ?check_deadline:(unit -> unit) ->
   ?on_point:(point -> unit) ->
   P.Prepared.t ->
   Designspace.point list ->

@@ -21,9 +21,9 @@ let error_message = function
 
 let pp_error ppf e = Fmt.pf ppf "%s: %s" (error_label e) (error_message e)
 
-(* The stage at which an attempt failed decides whether a retry is
-   safe for non-idempotent requests: a connect-stage failure means the
-   request was never sent. *)
+(* Where an attempt failed decides its error: [Refused] while
+   connecting, [Protocol] once the exchange began (a deadline is a
+   [Timeout] either way). *)
 type stage = Connecting | Exchanging
 
 let errno_message e fn = Printf.sprintf "%s (%s)" (Unix.error_message e) fn
@@ -198,18 +198,15 @@ let exchange c body =
 
 (* [close] failures must not mask the exchange's result, so a close
    error is deliberately dropped. *)
-let attempt ~timeouts ~host ~port body =
+let roundtrip ?(timeouts = default_timeouts) ~host ~port body =
   match open_conn ~timeouts ~host ~port with
-  | Error e -> Error (Connecting, e)
+  | Error e -> Error e
   | Ok c -> (
     let result = exchange c body in
     Wire.close_quietly c.sock;
     match result with
     | Ok (response, _) -> Ok response
-    | Error (e, _) -> Error (Exchanging, e))
-
-let roundtrip ?(timeouts = default_timeouts) ~host ~port body =
-  Result.map_error snd (attempt ~timeouts ~host ~port body)
+    | Error (e, _) -> Error e)
 
 (* --- persistent connections ----------------------------------------- *)
 
@@ -261,7 +258,7 @@ let rec fresh_attempt pool body =
   match
     open_conn ~timeouts:pool.p_timeouts ~host:pool.p_host ~port:pool.p_port
   with
-  | Error e -> Error (Connecting, e)
+  | Error e -> Error e
   | Ok c -> attempt_on pool c ~reused:false body
 
 and attempt_on pool c ~reused body =
@@ -272,7 +269,7 @@ and attempt_on pool c ~reused body =
   match result with
   | Ok (response, _) -> Ok response
   | Error (_, true) when reused -> fresh_attempt pool body
-  | Error (e, _) -> Error (Exchanging, e)
+  | Error (e, _) -> Error e
 
 let pooled_attempt pool body =
   match take pool with
@@ -281,17 +278,14 @@ let pooled_attempt pool body =
 
 (* --- retry loop ----------------------------------------------------- *)
 
-let retryable ~idempotent stage = function
-  | Overloaded _ -> true
-  | Timeout _ | Refused _ | Protocol _ -> idempotent || stage = Connecting
-
-let with_retries ~retry ~idempotent ?on_retry attempt =
+(* Every request kind is idempotent, so every failure is retried
+   while the budget lasts. *)
+let with_retries ~retry ?on_retry attempt =
   let rec go k =
     match attempt () with
     | Ok response -> Ok response
-    | Error (stage, e) ->
-      if k >= retry.attempts || not (retryable ~idempotent stage e) then
-        Error e
+    | Error e ->
+      if k >= retry.attempts then Error e
       else begin
         Span.count "client_retries" 1.;
         (match on_retry with Some f -> f k e | None -> ());
@@ -309,13 +303,11 @@ let with_retries ~retry ~idempotent ?on_retry attempt =
   in
   go 0
 
-let request ?(timeouts = default_timeouts) ?(retry = default_retry)
-    ?(idempotent = true) ?on_retry ~host ~port body =
-  with_retries ~retry ~idempotent ?on_retry (fun () ->
-      attempt ~timeouts ~host ~port body)
+let request ?timeouts ?(retry = default_retry) ?on_retry ~host ~port body =
+  with_retries ~retry ?on_retry (fun () -> roundtrip ?timeouts ~host ~port body)
 
 let pooled_request ?(retry = default_retry) pool body =
-  with_retries ~retry ~idempotent:true (fun () -> pooled_attempt pool body)
+  with_retries ~retry (fun () -> pooled_attempt pool body)
 
 (* --- load generator ------------------------------------------------- *)
 
@@ -338,8 +330,8 @@ let percentile sorted q =
     sorted.(min (n - 1) (max 0 (rank - 1)))
   end
 
-let load_multi ?(timeouts = default_timeouts) ?(retry = default_retry)
-    ?on_response ?on_result ~host ~port ~repeat ~concurrency bodies =
+let load_multi ?timeouts ?(retry = default_retry) ?on_result ~host ~port
+    ~repeat ~concurrency bodies =
   if Array.length bodies = 0 then invalid_arg "Client.load_multi: no bodies";
   let repeat = max 1 repeat and concurrency = max 1 concurrency in
   let lock = Mutex.create () in
@@ -370,12 +362,10 @@ let load_multi ?(timeouts = default_timeouts) ?(retry = default_retry)
         bodies.((i + ((k - 1) * concurrency)) mod Array.length bodies)
       in
       let t0 = Unix.gettimeofday () in
-      let result = request ~timeouts ~retry ~on_retry ~host ~port body in
+      let result = request ?timeouts ~retry ~on_retry ~host ~port body in
       let dt = Unix.gettimeofday () -. t0 in
       (match result with
-      | Ok response ->
-        (match on_response with Some f -> f response | None -> ());
-        record dt true !my_retries
+      | Ok _ -> record dt true !my_retries
       | Error _ -> record 0. false !my_retries);
       match on_result with
       | Some f -> f ~result ~latency_s:dt ~retries:!my_retries
@@ -401,11 +391,6 @@ let load_multi ?(timeouts = default_timeouts) ?(retry = default_retry)
     p95 = percentile sorted 0.95;
     p99 = percentile sorted 0.99;
   }
-
-let load ?timeouts ?retry ?on_response ?on_result ~host ~port ~repeat
-    ~concurrency body =
-  load_multi ?timeouts ?retry ?on_response ?on_result ~host ~port ~repeat
-    ~concurrency [| body |]
 
 let pp_load_report ppf r =
   Fmt.pf ppf

@@ -82,18 +82,15 @@ val roundtrip :
   string ->
   (string, error) result
 
-(** [roundtrip] plus the retry loop.  Retries only failures that are
-    safe to repeat: [Overloaded] always; [Timeout]/[Refused]/
-    [Protocol] when [idempotent] (the default — every kind in the
-    current protocol is) or when the attempt failed before the request
-    was sent.  Each retry bumps the [client_retries] telemetry counter
+(** [roundtrip] plus the retry loop.  Every request kind is
+    idempotent, so every failure is retried until the [retry] budget
+    runs out.  Each retry bumps the [client_retries] telemetry counter
     and calls [on_retry] with the 0-based retry index and the error
     being retried.  An [Overloaded] hint extends the backoff when it
     is longer. *)
 val request :
   ?timeouts:timeouts ->
   ?retry:retry ->
-  ?idempotent:bool ->
   ?on_retry:(int -> error -> unit) ->
   host:string ->
   port:int ->
@@ -135,40 +132,20 @@ type load_report = {
   p99 : float;
 }
 
-(** Fire [repeat] copies of [body] from [concurrency] client threads
-    (each thread jitters with [retry.seed + thread index]) and report
+(** Fire [repeat] requests from [concurrency] client threads (each
+    thread jitters with [retry.seed + thread index]), cycling over
+    [bodies] round-robin by global request index, and report
     throughput, retry volume and client-observed latency percentiles.
-    [on_response] sees every successful response body, called from the
-    issuing thread — the hook for per-shard accounting against a
-    cluster router; the callback must synchronize its own state.
-    [on_result] additionally sees every terminal outcome (success or
-    failure) with its client-observed latency and per-request retry
-    count — the hook for per-shard latency/retry breakdowns. *)
-val load :
-  ?timeouts:timeouts ->
-  ?retry:retry ->
-  ?on_response:(string -> unit) ->
-  ?on_result:
-    (result:(string, error) result ->
-    latency_s:float ->
-    retries:int ->
-    unit) ->
-  host:string ->
-  port:int ->
-  repeat:int ->
-  concurrency:int ->
-  string ->
-  load_report
-
-(** Like {!load}, but cycling over [bodies] round-robin by global
-    request index — diverse-traffic load generation from a generated
-    corpus.  The body schedule is a pure function of [(repeat,
-    concurrency)], so a run is reproducible.
+    The body schedule is a pure function of [(repeat, concurrency)],
+    so a run is reproducible.  [on_result] sees every terminal outcome
+    (success or failure) with its client-observed latency and
+    per-request retry count, called from the issuing thread — the
+    hook for per-shard latency/retry breakdowns against a cluster
+    router; the callback must synchronize its own state.
     @raise Invalid_argument when [bodies] is empty. *)
 val load_multi :
   ?timeouts:timeouts ->
   ?retry:retry ->
-  ?on_response:(string -> unit) ->
   ?on_result:
     (result:(string, error) result ->
     latency_s:float ->

@@ -13,9 +13,9 @@ module Roofline = Core.Hw.Roofline
 module Arena_price = Core.Analysis.Arena_price
 module Explore = Skope_explore.Explore
 
-type config = { max_request_bytes : int; cache_capacity : int }
+type config = { cache_capacity : int }
 
-let default_config = { max_request_bytes = 1 lsl 20; cache_capacity = 4096 }
+let default_config = { cache_capacity = 4096 }
 
 type entry = { rendered : string; total_ms : float }
 
@@ -46,9 +46,14 @@ let create ?(config = default_config) () =
       float_of_int (Lru.capacity cache));
   { config; cache; metrics; recorder }
 
-exception Reject of Protocol.error_code * string
+exception Reject of {
+  code : Protocol.error_code;
+  message : string;
+  retry_after_ms : float option;
+}
 
-let reject code msg = raise (Reject (code, msg))
+let reject ?retry_after_ms code message =
+  raise (Reject { code; message; retry_after_ms })
 
 (* --- resolved queries ------------------------------------------------ *)
 
@@ -281,9 +286,9 @@ let run_explore t p (spec : Protocol.explore_spec) ~check_deadline =
         (* Cooperative cancellation between grid points: a deadline
            mid-grid reports partial progress instead of hanging. *)
         (try check_deadline ()
-         with Reject (code, msg) ->
+         with Reject { code; message; _ } ->
            reject code
-             (Printf.sprintf "%s after %d of %d points" msg !completed n));
+             (Printf.sprintf "%s after %d of %d points" message !completed n));
         let entry, json = grid_point t ~prepared ~prev p pt in
         Span.count "explore_points_evaluated" 1.;
         incr completed;
@@ -382,20 +387,8 @@ let run_lint (q : Protocol.lint_query) =
       (* unreachable: Protocol.parse_lint requires one of the two *)
       reject Protocol.Invalid_request "lint request has no target"
   in
-  let diags = L.Diagnostic.normalize diags in
-  let errors, warnings, infos = L.Diagnostic.counts diags in
-  Json.Obj
-    [
-      ("target", Json.String target);
-      ("diagnostics", L.Diagnostic.list_to_json diags);
-      ("errors", Json.Int errors);
-      ("warnings", Json.Int warnings);
-      ("infos", Json.Int infos);
-      ( "clean",
-        Json.Bool
-          (not (L.Diagnostic.fails ~deny_warnings:q.Protocol.l_deny_warnings diags))
-      );
-    ]
+  L.Audit.diags_json ~target ~deny_warnings:q.Protocol.l_deny_warnings
+    (L.Diagnostic.normalize diags)
 
 (* Audit requests follow the lint shape (free-form source, no
    projection cache); the per-target JSON comes from
@@ -514,18 +507,6 @@ let run_stats t =
 
 (* --- flight recorder readback -------------------------------------- *)
 
-let run_recent t (q : Protocol.recent_query) =
-  let records =
-    Recorder.recent ~n:q.Protocol.rc_n ~errors_only:q.Protocol.rc_errors_only
-      ?min_duration_ms:q.Protocol.rc_min_ms t.recorder
-  in
-  Json.Obj
-    [
-      ("count", Json.Int (List.length records));
-      ("capacity", Json.Int (Recorder.capacity t.recorder));
-      ("records", Json.List (List.map Traceview.record_summary_json records));
-    ]
-
 let run_trace t id =
   match Recorder.find t.recorder id with
   | Some r -> Traceview.trace_result ~trace_id:id [ ("skoped", r) ]
@@ -537,7 +518,18 @@ let run_trace t id =
          id
          (Recorder.capacity t.recorder))
 
-(* --- entry point --------------------------------------------------- *)
+(* --- the request lifecycle ------------------------------------------ *)
+
+type call = {
+  trace_id : string;
+  received_at : float;
+  timeout_ms : float option;
+  mutable fingerprint : string option;
+  mutable shard : string option;
+  mutable retries : int;
+}
+
+type reply = Answer of Json.t | Relay of string
 
 (* Per-request trace ids, process-wide so concurrent worker domains
    never collide.  Minted only when the caller did not send a trace
@@ -546,10 +538,7 @@ let run_trace t id =
    the id, and adopting it is what makes the id span processes. *)
 let next_trace = Atomic.make 1
 
-let mint_trace () =
-  Printf.sprintf "req-%06d" (Atomic.fetch_and_add next_trace 1)
-
-let handle ?received_at t body =
+let answer ~recorder ?metrics ~span ~prefix ?received_at body handler =
   let received_at =
     match received_at with Some x -> x | None -> Unix.gettimeofday ()
   in
@@ -557,93 +546,59 @@ let handle ?received_at t body =
     Float.max 0. ((Unix.gettimeofday () -. received_at) *. 1e3)
   in
   let parsed =
-    if String.length body > t.config.max_request_bytes then
+    if String.length body > Protocol.max_request_bytes then
       Error
         ( Protocol.Oversized,
           Printf.sprintf "request body exceeds %d bytes"
-            t.config.max_request_bytes )
+            Protocol.max_request_bytes )
     else Protocol.parse_request body
   in
-  let trace_id, trace_parent =
+  let envelope =
     match parsed with
-    | Ok (_, { Protocol.trace = Some tc; _ }) ->
-      (tc.Protocol.t_id, tc.Protocol.t_parent)
-    | _ -> (mint_trace (), None)
+    | Ok (_, envelope) -> envelope
+    | Error _ -> { Protocol.timeout_ms = None; trace = None }
   in
-  Recorder.begin_request t.recorder trace_id;
+  let trace_id, trace_parent =
+    match envelope.Protocol.trace with
+    | Some tc -> (tc.Protocol.t_id, tc.Protocol.t_parent)
+    | None ->
+      (Printf.sprintf "%s-%06d" prefix (Atomic.fetch_and_add next_trace 1), None)
+  in
+  Recorder.begin_request recorder trace_id;
+  let call =
+    {
+      trace_id;
+      received_at;
+      timeout_ms = envelope.Protocol.timeout_ms;
+      fingerprint = None;
+      shard = None;
+      retries = 0;
+    }
+  in
   let kind = ref "?" in
   let outcome = ref "ok" in
-  let fingerprint = ref None in
   let response =
     Span.with_context ~attrs:[ ("trace_id", trace_id) ] @@ fun () ->
-    Span.with_ ~name:"request" @@ fun () ->
-    (match trace_parent with
-    | Some p -> Span.set_attr "trace_parent" p
-    | None -> ());
+    Span.with_ ~name:span @@ fun () ->
+    Option.iter (Span.set_attr "trace_parent") trace_parent;
     try
-      let request, envelope =
-        match parsed with Ok x -> x | Error (code, msg) -> reject code msg
+      let request =
+        match parsed with Ok (r, _) -> r | Error (code, msg) -> reject code msg
       in
-      let timeout_ms = envelope.Protocol.timeout_ms in
       kind := Protocol.kind_label request;
       Span.set_attr "kind" !kind;
-      (* Resolved once per request: the recorded fingerprint is the
-         key an analyze looks up, and the one the router routed on. *)
-      let resolve q =
-        match query_parts q with
-        | Ok p ->
-          fingerprint := Some p.fingerprint;
-          p
-        | Error (code, msg) -> reject code msg
-      in
-      let check_deadline () =
-        match timeout_ms with
-        | Some ms when Unix.gettimeofday () -. received_at > ms /. 1e3 ->
-          reject Protocol.Deadline_exceeded
-            (Printf.sprintf "deadline of %g ms exceeded" ms)
-        | _ -> ()
-      in
-      check_deadline ();
-      let result =
-        match request with
-        | Protocol.Analyze q ->
-          let p = resolve q in
-          let what () =
-            match q.Protocol.overrides with
-            | [] ->
-              Printf.sprintf "%s at scale %g on %s" p.workload.Registry.name
-                p.scale p.machine.Machine.name
-            | overrides -> "override " ^ Designspace.values_label overrides
-          in
-          Json.Raw (finite ~what (fun () -> cached_analysis t p)).rendered
-        | Protocol.Sweep (q, axis) -> run_sweep t (resolve q) axis ~check_deadline
-        | Protocol.Explore (q, spec) ->
-          run_explore t (resolve q) spec ~check_deadline
-        | Protocol.Lint q -> run_lint q
-        | Protocol.Audit q -> run_audit q
-        | Protocol.Workloads -> run_workloads ()
-        | Protocol.Machines -> run_machines ()
-        | Protocol.Stats -> run_stats t
-        | Protocol.Metrics_prom -> run_metrics_prom t
-        | Protocol.Version -> run_version ()
-        | Protocol.Capabilities -> run_capabilities ()
-        | Protocol.Recent q -> run_recent t q
-        | Protocol.Trace id -> run_trace t id
-        | Protocol.Cluster_stats ->
-          reject Protocol.Invalid_request
-            "cluster_stats is served by the cluster router (skope route), \
-             not by a single skoped"
-      in
-      Protocol.ok_response ~trace_id result
+      match handler call request with
+      | Answer result -> Protocol.ok_response ~trace_id result
+      | Relay response -> response
     with
-    | Reject (code, msg) ->
+    | Reject { code; message; retry_after_ms } ->
       outcome := Protocol.error_code_to_string code;
       (match code with
       | Protocol.Deadline_exceeded ->
         Log.emit ~level:Log.Warn ~trace_id "deadline_exceeded"
-          [ ("kind", Log.Str !kind); ("message", Log.Str msg) ]
+          [ ("kind", Log.Str !kind); ("message", Log.Str message) ]
       | _ -> ());
-      Protocol.error_response ~trace_id code msg
+      Protocol.error_response ?retry_after_ms ~trace_id code message
     | exn ->
       outcome := Protocol.error_code_to_string Protocol.Internal;
       Log.emit ~level:Log.Error ~trace_id "internal_error"
@@ -652,9 +607,66 @@ let handle ?received_at t body =
         (Printexc.to_string exn)
   in
   let finished_at = Unix.gettimeofday () in
-  Metrics.incr_request t.metrics ~kind:!kind ~outcome:!outcome;
-  Metrics.observe_latency t.metrics (finished_at -. received_at);
-  Recorder.commit t.recorder ~trace_id ~kind:!kind ?fingerprint:!fingerprint
-    ~outcome:!outcome ~queue_wait_ms ~start:received_at
-    ~duration_ms:((finished_at -. received_at) *. 1e3) ();
+  Option.iter
+    (fun m ->
+      Metrics.incr_request m ~kind:!kind ~outcome:!outcome;
+      Metrics.observe_latency m (finished_at -. received_at))
+    metrics;
+  Recorder.commit recorder ~trace_id ~kind:!kind ?fingerprint:call.fingerprint
+    ?shard:call.shard ~outcome:!outcome ~retries:call.retries ~queue_wait_ms
+    ~start:received_at
+    ~duration_ms:((finished_at -. received_at) *. 1e3)
+    ();
   response
+
+(* --- entry point --------------------------------------------------- *)
+
+let handle ?received_at t body =
+  answer ~recorder:t.recorder ~metrics:t.metrics ~span:"request" ~prefix:"req"
+    ?received_at body
+  @@ fun call request ->
+  (* Resolved once per request: the recorded fingerprint is the key an
+     analyze looks up, and the one the router routed on. *)
+  let resolve q =
+    match query_parts q with
+    | Ok p ->
+      call.fingerprint <- Some p.fingerprint;
+      p
+    | Error (code, msg) -> reject code msg
+  in
+  let check_deadline () =
+    match call.timeout_ms with
+    | Some ms when Unix.gettimeofday () -. call.received_at > ms /. 1e3 ->
+      reject Protocol.Deadline_exceeded
+        (Printf.sprintf "deadline of %g ms exceeded" ms)
+    | _ -> ()
+  in
+  check_deadline ();
+  Answer
+    (match request with
+    | Protocol.Analyze q ->
+      let p = resolve q in
+      let what () =
+        match q.Protocol.overrides with
+        | [] ->
+          Printf.sprintf "%s at scale %g on %s" p.workload.Registry.name
+            p.scale p.machine.Machine.name
+        | overrides -> "override " ^ Designspace.values_label overrides
+      in
+      Json.Raw (finite ~what (fun () -> cached_analysis t p)).rendered
+    | Protocol.Sweep (q, axis) -> run_sweep t (resolve q) axis ~check_deadline
+    | Protocol.Explore (q, spec) -> run_explore t (resolve q) spec ~check_deadline
+    | Protocol.Lint q -> run_lint q
+    | Protocol.Audit q -> run_audit q
+    | Protocol.Workloads -> run_workloads ()
+    | Protocol.Machines -> run_machines ()
+    | Protocol.Stats -> run_stats t
+    | Protocol.Metrics_prom -> run_metrics_prom t
+    | Protocol.Version -> run_version ()
+    | Protocol.Capabilities -> run_capabilities ()
+    | Protocol.Recent q -> Traceview.recent_result t.recorder q
+    | Protocol.Trace id -> run_trace t id
+    | Protocol.Cluster_stats ->
+      reject Protocol.Invalid_request
+        "cluster_stats is served by the cluster router (skope route), not by \
+         a single skoped")

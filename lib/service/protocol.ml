@@ -337,6 +337,10 @@ let parse_axis json = parse_one_axis json
    request cannot monopolize a worker domain forever. *)
 let max_grid_points = 4096
 
+(* Both listeners stop reading a request one byte past this, and the
+   request lifecycle answers such a body [Oversized]. *)
+let max_request_bytes = 1 lsl 20
+
 let parse_explore json =
   let* axes =
     match Json.member "axes" json with

@@ -184,6 +184,10 @@ val engine_names : string list
 (** Upper bound on the (possibly sampled) explore grid size. *)
 val max_grid_points : int
 
+(** Upper bound on a request body, 1 MiB: a larger one is answered
+    [Oversized], by skoped and by the router alike. *)
+val max_request_bytes : int
+
 (** Parse and validate a request body.  Returns the request plus its
     envelope (optional [timeout_ms] and trace context).  Catalog
     existence of workload/machine names is NOT checked here (the

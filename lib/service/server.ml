@@ -10,7 +10,6 @@ type net = {
   n_queue_capacity : int;
   n_read_timeout_s : float;
   n_write_timeout_s : float;
-  n_max_request_bytes : int;
 }
 
 let default_net =
@@ -21,28 +20,13 @@ let default_net =
     n_queue_capacity = 128;
     n_read_timeout_s = 10.;
     n_write_timeout_s = 10.;
-    n_max_request_bytes = 1 lsl 20;
   }
 
-type config = {
-  host : string;
-  port : int;
-  pool : int;
-  queue_capacity : int;
-  read_timeout_s : float;
-  write_timeout_s : float;
-  faults : Faults.t option;
-  dispatch : Dispatch.config;
-}
+type config = { net : net; faults : Faults.t option; dispatch : Dispatch.config }
 
 let default_config =
   {
-    host = "127.0.0.1";
-    port = 7777;
-    pool = max 2 (Domain.recommended_domain_count () - 1);
-    queue_capacity = 128;
-    read_timeout_s = 10.;
-    write_timeout_s = 10.;
+    net = { default_net with n_port = 7777 };
     faults = None;
     dispatch = Dispatch.default_config;
   }
@@ -81,17 +65,19 @@ type request = Line of string | Torn of string | Eof
 (* Read one request: up to its '\n' ([Line]), or to EOF ([Torn], and
    [Eof] when no byte of it came).  The bytes kept from the last read
    come first; the socket is read through the worker's [chunk], and
-   each read scans only the bytes it received.  [limit] bounds the
-   bytes buffered so an oversized body cannot exhaust memory; one byte
-   past it is kept, so the dispatcher sees "too big", not a
-   truncated-but-valid body, and the connection, out of step with its
-   client, carries no further request. *)
-let read_request chunk c ~limit =
+   each read scans only the bytes it received.
+   [Protocol.max_request_bytes] bounds the bytes buffered so an
+   oversized body cannot exhaust memory; one byte past it is kept, so
+   the handler sees "too big", not a truncated-but-valid body, and the
+   connection, out of step with its client, carries no further
+   request. *)
+let read_request chunk c =
   let buf = Buffer.create 512 in
   let kept = c.rest in
   c.rest <- Bytes.empty;
   let rec go () =
-    if Buffer.length buf > limit then Torn (Buffer.contents buf)
+    if Buffer.length buf > Protocol.max_request_bytes then
+      Torn (Buffer.contents buf)
     else
       match Unix.read c.fd chunk 0 (Bytes.length chunk) with
       | 0 -> if Buffer.length buf = 0 then Eof else Torn (Buffer.contents buf)
@@ -167,7 +153,7 @@ let serve_request net faults handler queue chunk c received_at =
       false
     end
     else
-      match read_request chunk c ~limit:net.n_max_request_bytes with
+      match read_request chunk c with
       | Eof -> false
       | (Line body | Torn body) as request ->
         let trace_id =
@@ -306,7 +292,7 @@ let shed ?recorder net queue fd =
    except request execution, which is the [handler]'s business.  Both
    the single-process skoped ([run], handler = Dispatch.handle) and
    the cluster router (handler = Router.handle) are instances. *)
-let serve ?stop ?on_ready ?(handle_signals = true) ?faults ?recorder ?on_queue
+let serve ?stop ~on_ready ?(handle_signals = true) ?faults ?recorder ?on_queue
     ?on_shutdown net ~handler =
   let stop = match stop with Some s -> s | None -> Atomic.make false in
   let restore_signals =
@@ -338,13 +324,7 @@ let serve ?stop ?on_ready ?(handle_signals = true) ?faults ?recorder ?on_queue
     | Unix.ADDR_INET (_, p) -> p
     | _ -> net.n_port
   in
-  (match on_ready with
-  | Some f -> f port
-  | None ->
-    Fmt.pr "skoped listening on %s:%d (%d workers)@." net.n_host port
-      net.n_pool;
-    (* Scripts wait for this line before issuing queries. *)
-    Format.pp_print_flush Format.std_formatter ());
+  on_ready port;
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   Fun.protect ~finally:(fun () ->
       Wire.close_quietly wake_r;
@@ -453,24 +433,14 @@ let serve ?stop ?on_ready ?(handle_signals = true) ?faults ?recorder ?on_queue
 
 let run ?stop ?on_ready ?handle_signals config =
   let dispatch = Dispatch.create ~config:config.dispatch () in
-  let net =
-    {
-      n_host = config.host;
-      n_port = config.port;
-      n_pool = config.pool;
-      n_queue_capacity = config.queue_capacity;
-      n_read_timeout_s = config.read_timeout_s;
-      n_write_timeout_s = config.write_timeout_s;
-      n_max_request_bytes = config.dispatch.Dispatch.max_request_bytes;
-    }
-  in
   let on_ready =
     match on_ready with
     | Some f -> f
     | None ->
       fun port ->
-        Fmt.pr "skoped listening on %s:%d (%d workers, cache %d)@." config.host
-          port config.pool dispatch.Dispatch.config.cache_capacity;
+        Fmt.pr "skoped listening on %s:%d (%d workers, cache %d)@."
+          config.net.n_host port config.net.n_pool
+          dispatch.Dispatch.config.cache_capacity;
         (match config.faults with
         | Some f ->
           Fmt.pr "skoped fault injection armed: %s@."
@@ -493,6 +463,6 @@ let run ?stop ?on_ready ?handle_signals config =
         v.Metrics.total_requests
         (100. *. v.Metrics.hit_rate)
         (v.Metrics.p50 *. 1e3))
-    net
+    config.net
     ~handler:(fun ~received_at body ->
       Dispatch.handle ~received_at dispatch body)

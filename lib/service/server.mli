@@ -35,7 +35,11 @@
       are drawn per request, and a drop or a truncation closes the
       connection. *)
 
-(** Transport-level knobs, independent of what the handler does. *)
+(** The listener: transport-level knobs, independent of what the
+    handler does.  skoped's {!config} and the cluster router's config
+    both embed one.  A request body is read up to one byte past
+    {!Protocol.max_request_bytes}; a larger one arrives torn, and its
+    handler answers it [oversized]. *)
 type net = {
   n_host : string;
   n_port : int;  (** 0 picks an ephemeral port *)
@@ -43,33 +47,32 @@ type net = {
   n_queue_capacity : int;
   n_read_timeout_s : float;  (** per-connection [SO_RCVTIMEO] *)
   n_write_timeout_s : float;  (** per-connection [SO_SNDTIMEO] *)
-  n_max_request_bytes : int;  (** read cap; larger bodies arrive torn *)
 }
 
+(** 127.0.0.1, port 0, one worker per core but one (at least 2), queue
+    128, 10 s socket timeouts. *)
 val default_net : net
 
 type config = {
-  host : string;
-  port : int;  (** 0 picks an ephemeral port *)
-  pool : int;  (** worker domains *)
-  queue_capacity : int;
-  read_timeout_s : float;  (** per-connection [SO_RCVTIMEO] *)
-  write_timeout_s : float;  (** per-connection [SO_SNDTIMEO] *)
+  net : net;
   faults : Faults.t option;  (** [None] in production *)
   dispatch : Dispatch.config;
 }
 
+(** {!default_net} on port 7777, no faults, {!Dispatch.default_config}. *)
 val default_config : config
 
 (** The generic accept-loop/worker-pool server: [handler] receives one
     request body at a time (with the time it arrived: accepted, or
     found readable on an idle connection, so queue wait counts toward
-    deadlines) and returns the response line.  All
-    the reliability posture above — admission control, per-connection
-    deadlines, graceful drain, optional fault injection — applies to
-    any handler.  [handle_signals] (default [true]) installs the
-    SIGINT/SIGTERM/SIGPIPE handlers; pass [false] when embedding
-    several servers in one process and let the host own its signals.
+    deadlines) and returns the response line.  All the reliability
+    posture above — admission control, per-connection deadlines,
+    graceful drain, optional fault injection — applies to any handler.
+    [on_ready] receives the bound port (useful with [n_port = 0])
+    before the first accept.  [handle_signals] (default [true])
+    installs the SIGINT/SIGTERM/SIGPIPE handlers; pass [false] when
+    embedding several servers in one process and let the host own its
+    signals.
     [on_queue] receives a queue-depth thunk once, before accepting
     (the hook for a gauge); [on_shutdown] runs after the drain.
     [recorder] receives a flight-recorder entry for every shed
@@ -77,7 +80,7 @@ val default_config : config
     be invisible to [{"kind":"recent"}]). *)
 val serve :
   ?stop:bool Atomic.t ->
-  ?on_ready:(int -> unit) ->
+  on_ready:(int -> unit) ->
   ?handle_signals:bool ->
   ?faults:Faults.t ->
   ?recorder:Skope_telemetry.Recorder.t ->
@@ -90,8 +93,7 @@ val serve :
 (** Serve until SIGINT/SIGTERM, or until [stop] (checked a few times a
     second) becomes [true] — the embedding hook for in-process tests.
     [on_ready] (default: prints a "listening" line) receives the bound
-    port — useful with [port = 0].  [serve] specialised to a fresh
-    {!Dispatch.t}. *)
+    port.  [serve] specialised to a fresh {!Dispatch.t}. *)
 val run :
   ?stop:bool Atomic.t ->
   ?on_ready:(int -> unit) ->

@@ -61,6 +61,18 @@ let record_to_json (r : Recorder.record) =
 let record_summary_json (r : Recorder.record) =
   Json.Obj (base_fields r @ [ ("spans", Json.Int (List.length r.Recorder.spans)) ])
 
+let recent_result recorder (q : Protocol.recent_query) =
+  let records =
+    Recorder.recent ~n:q.Protocol.rc_n ~errors_only:q.Protocol.rc_errors_only
+      ?min_duration_ms:q.Protocol.rc_min_ms recorder
+  in
+  Json.Obj
+    [
+      ("count", Json.Int (List.length records));
+      ("capacity", Json.Int (Recorder.capacity recorder));
+      ("records", Json.List (List.map record_summary_json records));
+    ]
+
 let trace_result ~trace_id processes =
   Json.Obj
     [

@@ -15,8 +15,9 @@ val record_to_json : Recorder.record -> Json.t
     ([{"id","parent","name","start","duration_ms","domain",
     "attrs","counters"}]). *)
 
-val record_summary_json : Recorder.record -> Json.t
-(** The [recent] row: everything but the span list (plus a
+val recent_result : Recorder.t -> Protocol.recent_query -> Json.t
+(** A [{"kind":"recent"}] result: [{"count","capacity","records"}],
+    each record a row of everything but its span list (plus a
     ["spans"] count). *)
 
 val trace_result : trace_id:string -> (string * Recorder.record) list -> Json.t

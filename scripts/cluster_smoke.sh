@@ -3,7 +3,9 @@
 # ephemeral ports and gate on the three cluster invariants:
 #   1. the router reports all shards healthy in cluster_stats;
 #   2. a repeated query sticks to one shard and is a cache hit there —
-#      and on no other shard (disjoint caches);
+#      and on no other shard (disjoint caches); one trace id spans
+#      router and shard, and a body the router cannot parse still gets
+#      a router-minted id listed in its recent errors;
 #   3. after SIGKILL of the owning shard, queries keep succeeding via
 #      failover, the router never crashes, and the dead shard is
 #      ejected by the health probes.
@@ -168,6 +170,17 @@ TOP=$("$SKOPE" top --port "$ROUTER_PORT" -n 1) || fail "skope top frame"
 echo "$TOP" | grep -q 'shards healthy' || fail "top frame missing cluster pane"
 echo "$TOP" | grep -q 'cluster-trace-1' \
     || fail "top frame missing the traced request in its recent pane"
+
+# A body the router cannot parse is answered like a shard answers it:
+# under an id the router minted, and listed in its recent errors.
+echo "cluster_smoke: gate 2c: the router ids a parse error"
+BAD=$(q --body '{"kind":' --retries 0) && fail "malformed body answered ok"
+echo "$BAD" | grep -q '"code":"parse_error"' \
+    || fail "malformed body not answered parse_error: $BAD"
+BAD_ID=$(echo "$BAD" | grep -o '"trace_id":"rtr-[0-9]*"' | cut -d'"' -f4)
+[ -n "$BAD_ID" ] || fail "parse error carries no rtr- trace id: $BAD"
+q --kind recent --errors-only | grep -q "\"trace_id\":\"$BAD_ID\"" \
+    || fail "router's recent errors do not list $BAD_ID"
 
 # --- gate 3: SIGKILL the owner; failover keeps answering --------------
 

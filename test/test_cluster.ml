@@ -374,6 +374,87 @@ let test_one_fingerprint () =
   | Error (Service.Protocol.Unknown_workload, _) -> ()
   | _ -> Alcotest.fail "expected unknown_workload"
 
+(* --- the router's request lifecycle ---------------------------------- *)
+
+(* A port nothing listens on. *)
+let closed_port () =
+  let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  let port =
+    match Unix.getsockname s with Unix.ADDR_INET (_, p) -> p | _ -> 0
+  in
+  Unix.close s;
+  port
+
+(* A router whose one member is never reached: the kinds sent to it
+   below are answered by the router itself. *)
+let lone_router () =
+  Router.create
+    {
+      Router.default_config with
+      Router.members =
+        [ { Router.m_id = "s0"; m_host = "127.0.0.1"; m_port = closed_port () } ];
+    }
+
+let string_at key json = Option.bind (Json.member key json) Json.to_string_opt
+
+let rtr_id what resp =
+  match Test_service.trace_id_of resp with
+  | Some id when String.starts_with ~prefix:"rtr-" id -> id
+  | _ -> Alcotest.failf "%s: expected a minted rtr- trace id: %s" what resp
+
+(* A body the router cannot parse is answered like a shard answers
+   it: under a minted id, with a flight-recorder entry of kind "?". *)
+let test_router_parse_error () =
+  let t = lone_router () in
+  let resp = Router.handle t "{\"kind\":" in
+  Alcotest.(check string) "code" "parse_error" (Test_service.error_code resp);
+  let id = rtr_id "parse error" resp in
+  let records =
+    match
+      Json.member "records"
+        (Test_service.result_of
+           (Router.handle t (Api.to_body (Api.recent ~errors_only:true ()))))
+    with
+    | Some (Json.List rs) -> rs
+    | _ -> Alcotest.fail "recent result has no records"
+  in
+  match List.filter (fun r -> string_at "trace_id" r = Some id) records with
+  | [ r ] ->
+    Alcotest.(check (option string)) "kind" (Some "?") (string_at "kind" r);
+    Alcotest.(check (option string))
+      "outcome" (Some "parse_error") (string_at "outcome" r)
+  | _ -> Alcotest.failf "recent errors do not list %s" id
+
+(* The router's span carries the caller's parent label, as a shard's
+   does. *)
+let test_router_trace_parent () =
+  let t = lone_router () in
+  ignore
+    (Router.handle t
+       (Api.to_body ~trace_id:"parented-1" ~trace_parent:"caller"
+          (Api.recent ())));
+  let trace =
+    Test_service.result_of
+      (Router.handle t (Api.to_body (Api.trace ~id:"parented-1" ())))
+  in
+  let spans =
+    match Json.member "processes" trace with
+    | Some (Json.List [ p ]) -> (
+      Alcotest.(check (option string))
+        "the router's record" (Some "router") (string_at "process" p);
+      match Option.bind (Json.member "record" p) (Json.member "spans") with
+      | Some (Json.List spans) -> spans
+      | _ -> Alcotest.fail "router record has no spans")
+    | _ -> Alcotest.failf "expected the router's record alone"
+  in
+  match List.filter (fun sp -> string_at "name" sp = Some "route") spans with
+  | [ route ] ->
+    Alcotest.(check (option string))
+      "trace_parent" (Some "caller")
+      (Option.bind (Json.member "attrs" route) (string_at "trace_parent"))
+  | _ -> Alcotest.fail "expected one route span"
+
 (* --- end-to-end: in-process cluster --------------------------------- *)
 
 let with_cluster ?(shards = 2) ?(cache = 64) ?health f =
@@ -633,6 +714,68 @@ let test_e2e_pool_survives_idle_close () =
         Alcotest.(check int) "both forwarded" 2 (int_at [ "forwarded" ] m)
       | _ -> Alcotest.fail "expected one member")
 
+(* Send [body] from a thread of its own, so that a server that answers
+   before it has read the whole body (and then closes, resetting the
+   rest) cannot stall the test, and read the one reply line. *)
+let raw_request port body =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close sock) @@ fun () ->
+  Unix.setsockopt_float sock Unix.SO_RCVTIMEO 10.;
+  Unix.setsockopt_float sock Unix.SO_SNDTIMEO 10.;
+  Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  let line = Bytes.of_string (body ^ "\n") in
+  let writer =
+    Thread.create
+      (fun () ->
+        let rec go off =
+          if off < Bytes.length line then
+            match Unix.write sock line off (Bytes.length line - off) with
+            | n -> go (off + n)
+            | exception Unix.Unix_error _ -> ()
+        in
+        go 0)
+      ()
+  in
+  let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let rec read () =
+    match Unix.read sock chunk 0 (Bytes.length chunk) with
+    | 0 -> ()
+    | n -> (
+      match Bytes.index_opt (Bytes.sub chunk 0 n) '\n' with
+      | Some i -> Buffer.add_subbytes buf chunk 0 i
+      | None ->
+        Buffer.add_subbytes buf chunk 0 n;
+        read ())
+    | exception Unix.Unix_error _ -> ()
+  in
+  read ();
+  Thread.join writer;
+  Buffer.contents buf
+
+(* Over the size limit, by a little (the whole body arrives) or by a
+   lot (the router stops reading), a body is refused by the router
+   itself: no shard sees it. *)
+let test_e2e_oversized_stays_at_router () =
+  with_cluster ~shards:2 (fun c ->
+      let port = Local.router_port c in
+      let forwarded () =
+        match Json.member "members" (cluster_stats port) with
+        | Some (Json.List ms) ->
+          List.fold_left (fun acc m -> acc + int_at [ "forwarded" ] m) 0 ms
+        | _ -> Alcotest.fail "cluster_stats has no members list"
+      in
+      let before = forwarded () in
+      let limit = Service.Protocol.max_request_bytes in
+      List.iter
+        (fun (what, n) ->
+          let resp = raw_request port (Test_service.padded_stats n) in
+          Alcotest.(check string) what "oversized" (Test_service.error_code resp);
+          ignore (rtr_id what resp);
+          Alcotest.(check (option string))
+            (what ^ ": no shard") None (Router.shard_of_response resp))
+        [ ("1 MiB + 1 KiB", limit + 1024); ("2 MiB", 2 * limit) ];
+      Alcotest.(check int) "nothing forwarded" before (forwarded ()))
+
 let test_e2e_no_shard_is_structured () =
   with_cluster ~shards:1 (fun c ->
       let port = Local.router_port c in
@@ -763,6 +906,10 @@ let suite =
         Alcotest.test_case "one-pass reply splice" `Quick test_splice_reply;
         Alcotest.test_case "one fingerprint for route and cache" `Quick
           test_one_fingerprint;
+        Alcotest.test_case "router parse error gets an id" `Quick
+          test_router_parse_error;
+        Alcotest.test_case "route span carries trace_parent" `Quick
+          test_router_trace_parent;
       ] );
     ( "cluster.e2e",
       [
@@ -782,5 +929,7 @@ let suite =
           test_e2e_trace_propagation;
         Alcotest.test_case "pooled forward survives an idle close" `Quick
           test_e2e_pool_survives_idle_close;
+        Alcotest.test_case "oversized stays at the router" `Quick
+          test_e2e_oversized_stays_at_router;
       ] );
   ]

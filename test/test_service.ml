@@ -233,19 +233,20 @@ let test_protocol_errors () =
   | Some (Json.Float ms) when Float.is_finite ms && ms > 1e300 -> ()
   | _ -> Alcotest.failf "finite absurd time not answered: %s" absurd
 
+(* A stats body of exactly [n] bytes. *)
+let padded_stats n =
+  let prefix = {|{"kind":"stats","pad":"|} and suffix = {|"}|} in
+  prefix
+  ^ String.make (n - String.length prefix - String.length suffix) 'x'
+  ^ suffix
+
 let test_oversized () =
-  let dispatch =
-    Service.Dispatch.create
-      ~config:{ Service.Dispatch.max_request_bytes = 64; cache_capacity = 4 }
-      ()
-  in
-  let body =
-    Printf.sprintf {|{"kind":"stats","pad":%S}|} (String.make 200 'x')
-  in
-  Alcotest.(check string) "oversized" "oversized"
-    (error_code (handle ~dispatch body));
-  Alcotest.(check bool) "small body still fine" true
-    (is_ok (handle ~dispatch {|{"kind":"stats"}|}))
+  let dispatch = Service.Dispatch.create () in
+  let limit = Service.Protocol.max_request_bytes in
+  Alcotest.(check string) "one byte over" "oversized"
+    (error_code (handle ~dispatch (padded_stats (limit + 1))));
+  Alcotest.(check bool) "at the limit still fine" true
+    (is_ok (handle ~dispatch (padded_stats limit)))
 
 let test_deadline_exceeded () =
   let body =
@@ -684,15 +685,17 @@ let with_server ?faults ?(pool = 2) ?(queue = 8) ?read_timeout f =
   let port = ref 0 in
   let config =
     {
-      Server.default_config with
-      port = 0;
-      pool;
-      queue_capacity = queue;
-      read_timeout_s =
-        Option.value read_timeout ~default:Server.default_config.read_timeout_s;
+      Server.net =
+        {
+          Server.default_net with
+          n_pool = pool;
+          n_queue_capacity = queue;
+          n_read_timeout_s =
+            Option.value read_timeout
+              ~default:Server.default_net.n_read_timeout_s;
+        };
       faults;
-      dispatch =
-        { Service.Dispatch.default_config with cache_capacity = 64 };
+      dispatch = { Service.Dispatch.cache_capacity = 64 };
     }
   in
   let server =
@@ -890,6 +893,45 @@ let test_trace_id_echoed () =
      holds on every response. *)
   Alcotest.(check bool) "parse error carries trace_id" true
     (trace_id_of (handle ~dispatch "{\"kind\":") <> None)
+
+(* An exception out of a handler becomes an [internal] reply under the
+   request's id, an [internal_error] log line and a recorder entry;
+   the router's lifecycle ([span "route"], ids "rtr-") is this one. *)
+let test_lifecycle_internal_error () =
+  let module Log = Skope_telemetry.Log in
+  let module Recorder = Skope_telemetry.Recorder in
+  let recorder = Recorder.create () in
+  let lines = ref [] in
+  Log.set_output (fun l -> lines := l :: !lines);
+  Log.set_rate ~burst:0 ~per_s:0.;
+  let resp =
+    Fun.protect
+      ~finally:(fun () ->
+        Log.use_stderr ();
+        Log.set_rate ~burst:50 ~per_s:10.)
+      (fun () ->
+        Service.Dispatch.answer ~recorder ~span:"route" ~prefix:"rtr"
+          {|{"kind":"stats"}|} (fun _ _ -> failwith "boom"))
+  in
+  Alcotest.(check string) "code" "internal" (error_code resp);
+  let id =
+    match trace_id_of resp with
+    | Some id when String.starts_with ~prefix:"rtr-" id -> id
+    | _ -> Alcotest.failf "expected a minted rtr- id: %s" resp
+  in
+  let logged line =
+    match Json.of_string line with
+    | Ok j ->
+      Json.member "event" j = Some (Json.String "internal_error")
+      && Json.member "trace_id" j = Some (Json.String id)
+    | Error _ -> false
+  in
+  Alcotest.(check bool) "internal_error logged" true (List.exists logged !lines);
+  match Recorder.find recorder id with
+  | Some r ->
+    Alcotest.(check string) "kind" "stats" r.Recorder.kind;
+    Alcotest.(check string) "outcome" "internal" r.Recorder.outcome
+  | None -> Alcotest.fail "no flight-recorder entry"
 
 let test_trace_validation () =
   check_error "empty trace id" "invalid_request"
@@ -1391,6 +1433,8 @@ let suite =
       [
         Alcotest.test_case "trace id echoed" `Quick test_trace_id_echoed;
         Alcotest.test_case "trace validation" `Quick test_trace_validation;
+        Alcotest.test_case "lifecycle internal error" `Quick
+          test_lifecycle_internal_error;
         Alcotest.test_case "recent round-trip" `Quick test_recent_roundtrip;
         Alcotest.test_case "trace kind round-trip" `Quick
           test_trace_kind_roundtrip;
