@@ -223,7 +223,7 @@ let cmd_lint =
     let disabled =
       resolve_disabled ~rules:Core.Lint.Engine.rules ~disable ~only
     in
-    let config = { Core.Lint.Engine.disabled; hints = [] } in
+    let config = { Core.Lint.Engine.disabled } in
     let workloads =
       if all_workloads then
         List.map
@@ -784,19 +784,19 @@ let cmd_sweep =
     Fmt.pr "Sweeping %s of %s for %s:@."
       (Core.Hw.Designspace.axis_name axis)
       base.name w.name;
-    (* One prepared BET, priced on every value by a delta chain, as
-       the service's sweep does. *)
+    (* One prepared BET, priced on every value, as the service's
+       sweep does. *)
     let pts = Core.Hw.Designspace.grid base [ axis ] in
     let prepared = P.Prepared.create ~workload:w ~scale:w.default_scale () in
     let outcomes =
       finite_or_exit ~what:(point_of_machine pts) (fun () ->
-          P.Prepared.project_batch prepared
-            (Array.of_list
-               (List.map (fun (pt : Core.Hw.Designspace.point) -> pt.p_machine) pts)))
+          List.map
+            (fun (pt : Core.Hw.Designspace.point) ->
+              P.Prepared.project prepared pt.p_machine)
+            pts)
     in
-    List.iteri
-      (fun i (pt : Core.Hw.Designspace.point) ->
-        let o = outcomes.(i) in
+    List.iter2
+      (fun (pt : Core.Hw.Designspace.point) (o : P.Prepared.outcome) ->
         let top =
           match o.P.Prepared.o_blocks with
           | b :: _ ->
@@ -807,7 +807,7 @@ let cmd_sweep =
         Fmt.pr "  %8s -> %10.3f ms | %s@." pt.p_tag
           (o.P.Prepared.o_total_time *. 1e3)
           top)
-      pts
+      pts outcomes
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Explore one hardware design axis analytically")
@@ -857,6 +857,11 @@ let cmd_explore =
       exit 2
     end;
     let axes = List.map parse_axis_spec axes in
+    (match Core.Hw.Designspace.distinct axes with
+    | Ok () -> ()
+    | Error msg ->
+      Fmt.epr "%s@." msg;
+      exit 2);
     let w = lookup_workload workload in
     let base = lookup_machine machine in
     let scale = Option.value ~default:w.default_scale scale in
@@ -1121,8 +1126,11 @@ let cmd_serve =
         dispatch = { Skope_service.Dispatch.cache_capacity = cache };
       }
     in
-    try S.run config
-    with Unix.Unix_error (e, fn, _) ->
+    try S.run config with
+    | Failure msg ->
+      Fmt.epr "skope serve: %s@." msg;
+      exit 1
+    | Unix.Unix_error (e, fn, _) ->
       Fmt.epr "skope serve: %s (%s %s:%d)@." (Unix.error_message e) fn host
         port;
       exit 1
@@ -1245,6 +1253,9 @@ let cmd_route =
     | exception Invalid_argument msg ->
       Fmt.epr "skope route: %s@." msg;
       exit 2
+    | exception Failure msg ->
+      Fmt.epr "skope route: %s@." msg;
+      exit 1
     | exception Unix.Unix_error (e, fn, _) ->
       Fmt.epr "skope route: %s (%s %s:%d)@." (Unix.error_message e) fn host
         port;

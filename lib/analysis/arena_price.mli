@@ -1,44 +1,35 @@
-(** Batched re-pricing of a flat BET {!Arena} (paper §V-A).
+(** Pricing of a flat BET {!Arena} (paper §V-A).
 
     The pricing engine of the pipeline, the service and the explorer;
-    {!Perf.project} is its test and fuzz oracle.  Bit-for-bit
-    identical to it on blocks, total time and per-node times: per-node
-    pricing calls the same {!Roofline.estimate} on the same work
-    records with the same opts resolution, and per-block aggregation
-    replays the arena's recorded pre-order so float addition rounds
-    identically. *)
+    {!Perf.project} is its test and fuzz oracle.  A machine point is
+    one full pass over the arena, bit-for-bit identical to the oracle
+    on blocks, total time and per-node times: per-node pricing calls
+    the same {!Roofline.estimate} on the same work records with the
+    same opts resolution, and per-block aggregation replays the
+    arena's recorded pre-order so float addition rounds identically. *)
 
 open Skope_bet
 open Skope_hw
 
-(** Pricing state for one machine point: the unscaled breakdown of
-    every arena slot, retained so a later point can re-price only the
-    slots a machine-axis change reaches. *)
-type state
+(** One priced machine point. *)
+type priced
 
-type priced = {
-  p_machine : Machine.t;
-  p_blocks : Blockstat.t list;  (** ranked, as {!Perf.project} ranks *)
-  p_total_time : float;
-  p_state : state;
-}
-
-(** Raised by {!price} and {!price_delta} when the total projected
-    time on the machine is infinite or NaN, which a positive but tiny
-    parameter causes (memory bandwidth 1e-320 GB/s overflows the
-    memory term).  Nothing prices such a machine; callers report it
-    as a bad parameter.  A finite time, however absurd, is returned. *)
+(** Raised by {!price} when the total projected time on the machine
+    is infinite or NaN, which a positive but tiny parameter causes
+    (memory bandwidth 1e-320 GB/s overflows the memory term).  Nothing
+    prices such a machine; callers report it as a bad parameter.  A
+    finite time, however absurd, is returned. *)
 exception Non_finite_time of Machine.t
 
 val machine : priced -> Machine.t
+
+(** Ranked, as {!Perf.project} ranks. *)
 val blocks : priced -> Blockstat.t list
+
 val total_time : priced -> float
 
-(** Changed-axes bitmask ({!Arena} dep bits) between two machines.
-    Zero means no field the evaluator reads differs. *)
-val change_mask : cache:Perf.cache_model -> Machine.t -> Machine.t -> int
-
-(** Price every slot (full pass). *)
+(** Price every slot of the arena on the machine.  The counter
+    ["arena_nodes_priced"] grows by the arena's slot count. *)
 val price :
   ?opts:Roofline.opts ->
   ?cache:Perf.cache_model ->
@@ -46,10 +37,10 @@ val price :
   Machine.t ->
   priced
 
-(** Re-price against [prev]: only slots whose dependency mask
-    intersects the machine diff are re-estimated; the rest reuse
-    [prev]'s breakdowns.  Counters ["arena_nodes_priced"] and
-    ["arena_reprice_skipped"] record the split. *)
+(** {!price}, ignoring [prev].  Its only caller is the in-process
+    replay of the serving benchmark ([bench/serve/layers.ml]), which
+    times it as [arena_price.delta_us]; the name goes when that replay
+    does. *)
 val price_delta :
   ?opts:Roofline.opts ->
   ?cache:Perf.cache_model ->
@@ -62,12 +53,3 @@ val price_delta :
     tables hot-path annotation reads: node time [total *. enr] and
     ENR, keyed by BET node id.  [priced] must come from [arena]. *)
 val projection : Arena.t -> priced -> Perf.projection
-
-(** Price a machine sweep, delta-chaining consecutive points so each
-    slot is estimated at most once per point and usually far less. *)
-val price_batch :
-  ?opts:Roofline.opts ->
-  ?cache:Perf.cache_model ->
-  Arena.t ->
-  Machine.t array ->
-  priced array

@@ -1,4 +1,4 @@
-(** Flat post-order BET arena (ROADMAP: incremental BET engine).
+(** Flat post-order BET arena.
 
     [of_build] flattens a built BET into contiguous int-indexed arrays
     in a single pass: children occupy lower slots than their parent
@@ -7,44 +7,10 @@
     can replay the tree walk's exact floating point order.
 
     Everything machine-independent is frozen here, once: the expected
-    number of repetitions of every node ([enrs], paper §V-A), the
+    number of repetitions of every node ([enrs], paper §V-A) and the
     working-set footprint of the innermost enclosing loop
-    ([footprints], used by the footprint cache model), and a
-    machine-dependency bitmask per node ([deps]) derived from the
-    shape of its work vector.  Re-pricing the arena for a new machine
-    point then touches only frozen floats — and, when two machine
-    points differ on a single axis, only the nodes whose dependency
-    mask intersects the changed axes. *)
-
-(* Dependency bits: which machine parameters a node's priced
-   breakdown can depend on.  Masks are intentionally conservative
-   (shape-based, computed without knowing the roofline opts): a set
-   bit may recompute a node whose value would not have changed, but a
-   clear bit is a proof that no machine field in that group reaches
-   the node's Tc/Tm/To terms. *)
-let dep_freq = 1 (* freq_ghz: scales every cycle-denominated term *)
-let dep_cpu = 2 (* fma, flop_issue_per_cycle *)
-let dep_issue = 4 (* issue_width *)
-let dep_vec = 8 (* vector_width *)
-let dep_div = 16 (* div_latency *)
-let dep_mem = 32 (* mem_bw, latencies, mlp, l2 line *)
-let dep_geom = 64 (* cache sizes/lines (footprint hit model only) *)
-
-let dep_all =
-  dep_freq lor dep_cpu lor dep_issue lor dep_vec lor dep_div lor dep_mem
-  lor dep_geom
-
-let deps_of_work (w : Work.t) =
-  if Work.is_zero w then 0
-  else begin
-    let m = ref 0 in
-    if Work.ops w > 0. then m := !m lor dep_freq lor dep_issue;
-    if w.Work.flops > 0. then m := !m lor dep_cpu;
-    if w.Work.vec_flops > 0. then m := !m lor dep_vec;
-    if w.Work.divs > 0. then m := !m lor dep_div;
-    if Work.mem_accesses w > 0. then m := !m lor dep_mem lor dep_geom;
-    !m
-  end
+    ([footprints], used by the footprint cache model).  Pricing the
+    arena for a machine point then touches only frozen floats. *)
 
 type t = {
   n : int;  (** number of nodes *)
@@ -58,7 +24,6 @@ type t = {
   enrs : float array;  (** frozen ENR: trips * prob * ENR(parent) *)
   footprints : float array;
       (** frozen working set of the innermost enclosing loop, bytes *)
-  deps : int array;  (** machine-dependency bitmask per slot *)
   parents : int array;  (** slot of parent; -1 for the root *)
   children : int array array;  (** child slots, in execution order *)
   pre_order : int array;
@@ -73,7 +38,6 @@ type t = {
       (** dense block index -> its slots, in [pre_order] visit order:
           per-block accumulation over this sequence reproduces the
           tree walk's per-block float rounding exactly *)
-  block_deps : int array;  (** OR of the block's slot dependency masks *)
   block_enrs : float array;  (** frozen per-block ENR sum *)
   block_works : Work.t array;  (** frozen per-block ENR-scaled work *)
   block_notes : string array;
@@ -82,7 +46,6 @@ type t = {
 }
 
 let node_count t = t.n
-let block_count t = Array.length t.block_ids
 
 let of_build (built : Build.result) : t =
   let n = Node.size built.Build.root in
@@ -94,7 +57,6 @@ let of_build (built : Build.result) : t =
   let works = Array.make n Work.zero in
   let enrs = Array.make n 0. in
   let footprints = Array.make n 0. in
-  let deps = Array.make n 0 in
   let parents = Array.make n (-1) in
   let children = Array.make n [||] in
   let pre_order = Array.make n 0 in
@@ -116,7 +78,6 @@ let of_build (built : Build.result) : t =
     trips.(slot) <- node.Node.trips;
     notes.(slot) <- node.Node.note;
     works.(slot) <- node.Node.work;
-    deps.(slot) <- deps_of_work node.Node.work;
     children.(slot) <- Array.of_list kids;
     Array.iter (fun c -> parents.(c) <- slot) children.(slot);
     (block_ix.(slot) <-
@@ -170,7 +131,6 @@ let of_build (built : Build.result) : t =
      and work sums never depend on the machine at all, so they are
      frozen outright with the tree walk's exact expressions. *)
   let block_slots_rev = Array.make nb [] in
-  let block_deps = Array.make nb 0 in
   let block_enrs = Array.make nb 0. in
   let block_notes = Array.make nb "" in
   let w_acc = Array.make nb Work.zero in
@@ -180,7 +140,6 @@ let of_build (built : Build.result) : t =
       let enr = enrs.(slot) in
       let w = works.(slot) in
       block_slots_rev.(b) <- slot :: block_slots_rev.(b);
-      block_deps.(b) <- block_deps.(b) lor deps.(slot);
       block_enrs.(b) <- block_enrs.(b) +. enr;
       (let acc = w_acc.(b) in
        w_acc.(b) <-
@@ -212,7 +171,6 @@ let of_build (built : Build.result) : t =
     works;
     enrs;
     footprints;
-    deps;
     parents;
     children;
     pre_order;
@@ -221,7 +179,6 @@ let of_build (built : Build.result) : t =
     block_names = Array.map (Bst.block_name bst) block_ids;
     block_sizes = Array.map (Bst.block_size bst) block_ids;
     block_slots;
-    block_deps;
     block_enrs;
     block_works = w_acc;
     block_notes;

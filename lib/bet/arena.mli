@@ -3,39 +3,10 @@
     A built BET flattened into contiguous int-indexed arrays by a
     single [of_build] pass: children occupy lower slots than their
     parent, the root is the last slot, and every machine-independent
-    quantity — ENR, loop working-set footprint, and a per-node
-    machine-dependency bitmask — is frozen at construction.  Pricing a
-    machine point (lib/analysis [Arena_price]) is then a tight forward
-    loop over these arrays instead of a pointer-chasing tree walk, and
-    a point that differs from the previous one on a single machine
-    axis re-prices only the slots whose dependency mask intersects the
-    changed axes. *)
-
-(** {1 Machine-dependency bits}
-
-    Shape-based and conservative: a set bit means the node's priced
-    Tc/Tm/To terms {e may} read machine fields in that group; a clear
-    bit proves they cannot. *)
-
-val dep_freq : int  (** [freq_ghz] *)
-
-val dep_cpu : int  (** [fma], [flop_issue_per_cycle] *)
-
-val dep_issue : int  (** [issue_width] *)
-
-val dep_vec : int  (** [vector_width] *)
-
-val dep_div : int  (** [div_latency] *)
-
-val dep_mem : int  (** [mem_bw_gbs], latencies, [mlp], L2 line *)
-
-val dep_geom : int  (** cache sizes/lines (footprint hit model) *)
-
-val dep_all : int
-
-val deps_of_work : Work.t -> int
-
-(** {1 The arena} *)
+    quantity — ENR and loop working-set footprint — is frozen at
+    construction.  Pricing a machine point (lib/analysis
+    [Arena_price]) is then one tight forward loop over these arrays
+    instead of a pointer-chasing tree walk. *)
 
 type t = {
   n : int;  (** number of nodes *)
@@ -49,7 +20,6 @@ type t = {
   enrs : float array;  (** frozen ENR: trips * prob * ENR(parent) *)
   footprints : float array;
       (** frozen working set of the innermost enclosing loop, bytes *)
-  deps : int array;  (** machine-dependency bitmask per slot *)
   parents : int array;  (** slot of parent; -1 for the root *)
   children : int array array;  (** child slots, in execution order *)
   pre_order : int array;
@@ -64,7 +34,6 @@ type t = {
       (** dense block index -> its slots in [pre_order] visit order;
           per-block accumulation over this sequence reproduces the
           tree walk's per-block float rounding exactly *)
-  block_deps : int array;  (** OR of the block's slot dependency masks *)
   block_enrs : float array;  (** frozen per-block ENR sum *)
   block_works : Work.t array;  (** frozen per-block ENR-scaled work *)
   block_notes : string array;
@@ -73,10 +42,9 @@ type t = {
 }
 
 val node_count : t -> int
-val block_count : t -> int
 
-(** Flatten a built BET.  One pass; ENRs, footprints and dependency
-    masks are frozen here. *)
+(** Flatten a built BET.  One pass; ENRs and footprints are frozen
+    here. *)
 val of_build : Build.result -> t
 
 (** Structural invariants (post-order child < parent, index bounds,

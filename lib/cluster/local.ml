@@ -32,6 +32,9 @@ let start ?stop ?(host = "127.0.0.1") ?(router_port = 0) ?(shards = 2)
     ?(router_pool = 4) ?(probe_interval_s = 0.25)
     ?(health = Health.default_config) () =
   if shards < 1 then invalid_arg "Local.start: shards must be >= 1";
+  (* Every listener binds [host]: one that does not resolve fails here,
+     before any thread starts. *)
+  Result.iter_error failwith (Skope_service.Wire.inet_addr host);
   (* A late write into a shard torn down by [stop_shard] must not kill
      the process. *)
   ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);

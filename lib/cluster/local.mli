@@ -17,7 +17,8 @@ type t
 
 (** Boot [shards] servers on ephemeral ports, then the router over
     them (member ids [s0], [s1], ...).  Blocks until every listener is
-    ready; raises [Failure] if one fails to come up within ~10 s.
+    ready; raises [Failure] if [host] does not resolve or a listener
+    fails to come up within ~10 s.
     [stop] stops the whole cluster when set.  Defaults: 2 shards,
     pool 2 / queue 64 / cache 4096 per shard, router pool 4, probe
     every 0.25 s, fall 3 / rise 2. *)

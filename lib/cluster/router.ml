@@ -168,27 +168,29 @@ type forward_outcome =
   | Shard_overloaded of { retry_after_ms : float option; message : string }
   | No_shard
 
+let json_string s = Json.to_string (Json.String s)
+
 (* Inject the router's trace context into the forwarded body, so the
    shard adopts the router's id instead of minting its own — the one
    id then follows query → route → shard → pipeline phases.  A body
-   that does not re-serialize (it parsed once already, so this is
-   defensive) is forwarded untouched. *)
+   that reaches a forward parsed as an object with at least a ["kind"]
+   member, so its first ['{'] opens it and a member follows.  The
+   context goes first: {!Json.member} takes a name's first member, so
+   it wins over a ["trace"] the caller sent.  Copies the body once and
+   never parses it again. *)
 let with_trace_context ~trace_id body =
-  match Json.of_string body with
-  | Ok (Json.Obj fields) ->
-    let fields = List.filter (fun (k, _) -> k <> "trace") fields in
-    Json.to_string
-      (Json.Obj
-         (fields
-         @ [
-             ( "trace",
-               Json.Obj
-                 [
-                   ("id", Json.String trace_id);
-                   ("parent", Json.String "router");
-                 ] );
-           ]))
-  | Ok _ | Error _ -> body
+  match String.index_opt body '{' with
+  | None -> body
+  | Some i ->
+    let ctx =
+      "\"trace\":{\"id\":" ^ json_string trace_id ^ ",\"parent\":\"router\"},"
+    in
+    let n = String.length body and m = String.length ctx in
+    let out = Bytes.create (n + m) in
+    Bytes.blit_string body 0 out 0 (i + 1);
+    Bytes.blit_string ctx 0 out (i + 1) m;
+    Bytes.blit_string body (i + 1) out (i + 1 + m) (n - i - 1);
+    Bytes.unsafe_to_string out
 
 (* Returns the outcome plus how many shards this request failed over
    past (the record's retries column).  Each attempt runs in its own
@@ -244,8 +246,6 @@ let occurs_at s i needle =
     j = m || (String.unsafe_get s (i + j) = String.unsafe_get needle j && go (j + 1))
   in
   i >= 0 && i + m <= String.length s && go 0
-
-let json_string s = Json.to_string (Json.String s)
 
 (* Append ["trace_id"] — unless the shard, having adopted the forwarded
    trace context, already echoes one — and ["shard"] to a proxied

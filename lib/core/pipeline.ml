@@ -70,15 +70,12 @@ module Prepared = struct
     arena : Arena.t;  (** the BET, flattened for pricing *)
   }
 
-  (** Result of pricing one machine point.  [o_state] carries the
-      pricing state that {!project_delta} continues from;
-      [strip_state] drops it when a caller retains many outcomes. *)
+  (** Result of pricing one machine point. *)
   type outcome = {
     o_machine : Machine.t;
     o_blocks : Blockstat.t list;  (** ranked by decreasing time *)
     o_total_time : float;
     o_selection : Hotspot.selection;
-    o_state : Arena_price.priced option;
   }
 
   (* Workload make -> validate -> lint -> (optional local profiling)
@@ -112,45 +109,26 @@ module Prepared = struct
 
   let built t = t.built
   let workload t = t.workload
-  let strip_state o = { o with o_state = None }
 
-  (* The arena ranks before we get here ([Arena_price.aggregate]), so
-     the selection re-sort is skipped. *)
+  (* The arena ranks before we get here ([Arena_price.price]), so the
+     selection re-sort is skipped. *)
   let select ~criteria t blocks =
     Span.with_ ~name:"hotspot" (fun () ->
         Hotspot.select ~criteria ~assume_ranked:true
           ~total_instructions:(Bst.total_instructions t.built.Build.bst)
           blocks)
 
-  let of_priced ~criteria t (p : Arena_price.priced) : outcome =
+  let project ?(criteria = Hotspot.default_criteria)
+      ?(opts = Roofline.default_opts) ?(cache = Perf.Constant) (t : t)
+      (machine : Machine.t) : outcome =
+    let p = Arena_price.price ~opts ~cache t.arena machine in
     let blocks = Arena_price.blocks p in
     {
       o_machine = Arena_price.machine p;
       o_blocks = blocks;
       o_total_time = Arena_price.total_time p;
       o_selection = select ~criteria t blocks;
-      o_state = Some p;
     }
-
-  let project ?(criteria = Hotspot.default_criteria)
-      ?(opts = Roofline.default_opts) ?(cache = Perf.Constant) (t : t)
-      (machine : Machine.t) : outcome =
-    of_priced ~criteria t (Arena_price.price ~opts ~cache t.arena machine)
-
-  let project_delta ?(criteria = Hotspot.default_criteria)
-      ?(opts = Roofline.default_opts) ?(cache = Perf.Constant) ~prev (t : t)
-      (machine : Machine.t) : outcome =
-    match prev.o_state with
-    | Some p ->
-      of_priced ~criteria t
-        (Arena_price.price_delta ~opts ~cache ~prev:p t.arena machine)
-    | None -> project ~criteria ~opts ~cache t machine
-
-  let project_batch ?(criteria = Hotspot.default_criteria)
-      ?(opts = Roofline.default_opts) ?(cache = Perf.Constant) (t : t)
-      (machines : Machine.t array) : outcome array =
-    Array.map (of_priced ~criteria t)
-      (Arena_price.price_batch ~opts ~cache t.arena machines)
 
   (* The full projection, per-node tables included (for [run]'s hot
      path and invocation views). *)

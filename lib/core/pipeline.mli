@@ -60,8 +60,6 @@ module Prepared : sig
     o_blocks : Blockstat.t list;  (** ranked by decreasing time *)
     o_total_time : float;
     o_selection : Hotspot.selection;
-    o_state : Arena_price.priced option;
-        (** pricing state {!project_delta} continues from *)
   }
 
   (** Build the machine-independent artifact once.  [profile_hints]
@@ -81,12 +79,10 @@ module Prepared : sig
   val built : t -> Build.result
   val workload : t -> Registry.t
 
-  (** Drop the delta-pricing state (callers retaining many outcomes
-      should store them stripped). *)
-  val strip_state : outcome -> outcome
-
-  (** Price one machine point.  Read-only on the handle: concurrent
-      calls from several domains are safe. *)
+  (** Price one machine point: one full {!Arena_price.price} pass
+      over the handle's arena, then the hot-spot selection.
+      Read-only on the handle: concurrent calls from several domains
+      are safe. *)
   val project :
     ?criteria:Hotspot.criteria ->
     ?opts:Roofline.opts ->
@@ -94,28 +90,6 @@ module Prepared : sig
     t ->
     Machine.t ->
     outcome
-
-  (** Price one machine point, re-pricing only the BET nodes the
-      machine diff from [prev] can reach (a stripped [prev] means a
-      full {!project}).  Bit-for-bit identical to {!project}. *)
-  val project_delta :
-    ?criteria:Hotspot.criteria ->
-    ?opts:Roofline.opts ->
-    ?cache:Perf.cache_model ->
-    prev:outcome ->
-    t ->
-    Machine.t ->
-    outcome
-
-  (** Price a machine sweep, delta-chaining consecutive points.
-      Equivalent to mapping {!project}. *)
-  val project_batch :
-    ?criteria:Hotspot.criteria ->
-    ?opts:Roofline.opts ->
-    ?cache:Perf.cache_model ->
-    t ->
-    Machine.t array ->
-    outcome array
 end
 
 (** Analytic projection only — nothing executes on [machine].

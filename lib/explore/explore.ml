@@ -10,10 +10,6 @@
     ({!Core.Pipeline.Prepared.create}) and re-prices the shared BET
     per grid point ({!Core.Pipeline.Prepared.project}), turning
     O(points x full pipeline) into O(1 build + points x projection).
-    Consecutive points within a worker's chunk are additionally
-    delta-chained ({!Core.Pipeline.Prepared.project_delta}), so a point
-    differing from its neighbour on one axis re-prices only the
-    dependent BET nodes.
 
     Evaluation is embarrassingly parallel: the BET is read-only during
     pricing, so a pool of OCaml 5 domains walks the grid with chunked
@@ -33,7 +29,7 @@ type point = {
   tag : string;  (** {!Designspace.point} tag, e.g. ["bw=7.0,vec=4"] *)
   values : (string * float) list;  (** axis key -> swept value *)
   machine : Machine.t;
-  outcome : P.Prepared.outcome;  (** pricing result (state stripped) *)
+  outcome : P.Prepared.outcome;  (** pricing result *)
   time : float;  (** projected seconds (the outcome total) *)
   cost : float;  (** {!cost_proxy} of [machine] *)
 }
@@ -105,17 +101,10 @@ let evaluate ?(jobs = 1) ?(criteria = Hotspot.default_criteria) ?on_point
   let next = Atomic.make 0 in
   let failure : exn option Atomic.t = Atomic.make None in
   let out_lock = Mutex.create () in
-  (* [prev] delta-chains consecutive points of one worker's chunk (a
-     [None] prev is a full pricing).  Chains never cross chunks, so
-     workers share nothing mutable. *)
-  let eval_one ~prev i =
+  let eval_one i =
     let pt = arr.(i) in
     let outcome =
-      match prev with
-      | Some prev ->
-        P.Prepared.project_delta ~criteria ~prev prepared
-          pt.Designspace.p_machine
-      | None -> P.Prepared.project ~criteria prepared pt.Designspace.p_machine
+      P.Prepared.project ~criteria prepared pt.Designspace.p_machine
     in
     Span.count "explore_points_evaluated" 1.;
     (* Every priced point reuses the shared BET instead of rebuilding
@@ -127,7 +116,7 @@ let evaluate ?(jobs = 1) ?(criteria = Hotspot.default_criteria) ?on_point
         tag = pt.Designspace.p_tag;
         values = pt.Designspace.p_values;
         machine = pt.Designspace.p_machine;
-        outcome = P.Prepared.strip_state outcome;
+        outcome;
         time = outcome.P.Prepared.o_total_time;
         cost = cost_proxy pt.Designspace.p_machine;
       }
@@ -137,8 +126,7 @@ let evaluate ?(jobs = 1) ?(criteria = Hotspot.default_criteria) ?on_point
     | None -> ()
     | Some f ->
       Mutex.lock out_lock;
-      Fun.protect ~finally:(fun () -> Mutex.unlock out_lock) (fun () -> f point));
-    outcome
+      Fun.protect ~finally:(fun () -> Mutex.unlock out_lock) (fun () -> f point))
   in
   let jobs = max 1 (min jobs (max 1 n)) in
   (* Chunked distribution: cheap points amortize the atomic fetch,
@@ -150,10 +138,8 @@ let evaluate ?(jobs = 1) ?(criteria = Hotspot.default_criteria) ?on_point
         let start = Atomic.fetch_and_add next chunk in
         if start < n then begin
           (try
-             let prev = ref None in
              for i = start to min (start + chunk) n - 1 do
-               if Atomic.get failure = None then
-                 prev := Some (eval_one ~prev:!prev i)
+               if Atomic.get failure = None then eval_one i
              done
            with e -> ignore (Atomic.compare_and_set failure None (Some e)));
           loop ()

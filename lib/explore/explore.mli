@@ -7,9 +7,8 @@
     projection) instead of O(points x full pipeline).  Evaluation runs
     on an OCaml 5 domain pool with chunked work distribution;
     projection is read-only on the prepared artifact, so concurrent
-    pricing is safe.  Consecutive points of a worker's chunk are
-    delta-chained so single-axis moves re-price only dependent BET
-    nodes. *)
+    pricing is safe.  Every point is one full pricing of the shared
+    arena. *)
 
 module P = Core.Pipeline
 module Machine = Core.Hw.Machine
@@ -22,7 +21,7 @@ type point = {
   tag : string;  (** {!Designspace.point} tag, e.g. ["bw=7.0,vec=4"] *)
   values : (string * float) list;  (** axis key -> swept value *)
   machine : Machine.t;
-  outcome : P.Prepared.outcome;  (** pricing result (state stripped) *)
+  outcome : P.Prepared.outcome;  (** pricing result *)
   time : float;  (** projected seconds (the outcome total) *)
   cost : float;  (** {!cost_proxy} of [machine] *)
 }

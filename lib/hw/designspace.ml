@@ -74,6 +74,14 @@ let axis_of_key key values =
       (Printf.sprintf "unknown axis %S (expected %s)" other
          (String.concat "|" axis_keys))
 
+let distinct axes =
+  let keys = List.map axis_key axes in
+  match
+    List.find_opt (fun k -> List.length (List.filter (( = ) k) keys) > 1) keys
+  with
+  | Some k -> Error (Printf.sprintf "axis %S appears more than once" k)
+  | None -> Ok ()
+
 let axis_values = function
   | Mem_bandwidth vs | Mem_latency vs | Issue_width vs | Frequency vs
   | Div_latency vs ->

@@ -37,6 +37,10 @@ val positive_int : string -> float -> (int, string) result
     the recognized keys. *)
 val axis_of_key : string -> float list -> (axis, string) result
 
+(** A grid sweeps each machine parameter on one axis: [Error] names
+    the first key of [axes] that appears more than once. *)
+val distinct : axis list -> (unit, string) result
+
 (** The swept values of an axis, as floats. *)
 val axis_values : axis -> float list
 

@@ -5,9 +5,9 @@ module Value = Skope_bet.Value
 module Smap = Map.Make (String)
 module Sset = Set.Make (String)
 
-type config = { disabled : string list; hints : string list }
+type config = { disabled : string list }
 
-let default_config = { disabled = []; hints = [] }
+let default_config = { disabled = [] }
 
 let rules =
   [
@@ -45,7 +45,6 @@ let max_visits = 200_000
    [stopped_at] is the first statement it refused (L011). *)
 type st = {
   disabled : Sset.t;
-  hints : Sset.t;
   funcs : func Smap.t;
   global_arrays : array_decl Smap.t;
   base_env : I.t Smap.t;
@@ -246,12 +245,11 @@ let check_prob st env loc ~fname ~what p =
 
 (* L008 *)
 let check_hint st loc ~fname ~what name =
-  if not (Sset.mem name st.hints) then
-    emit st ~code:"L008" ~severity:Diagnostic.Info ~loc
-      ~notes:(fun () -> [ in_function fname ])
-      "%s `%s` has no profile hint; projection will trust the declared \
-       probability"
-      what name
+  emit st ~code:"L008" ~severity:Diagnostic.Info ~loc
+    ~notes:(fun () -> [ in_function fname ])
+    "%s `%s` has no profile hint; projection will trust the declared \
+     probability"
+    what name
 
 (* L004 *)
 let check_access st env arrays loc ~fname ({ array; index } : access) =
@@ -607,7 +605,6 @@ let run ?(config = default_config) ?(inputs = []) (p : program) =
   let st =
     {
       disabled = Sset.of_list config.disabled;
-      hints = Sset.of_list config.hints;
       funcs;
       global_arrays;
       base_env;

@@ -34,9 +34,6 @@ open Skope_skeleton
 
 type config = {
   disabled : string list;  (** rule codes to suppress, e.g. [["L008"]] *)
-  hints : string list;
-      (** statistics names with profile data; named constructs
-          outside this set trigger [L008] *)
 }
 
 val default_config : config

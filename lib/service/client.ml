@@ -78,31 +78,36 @@ let backoff_ms retry k =
 (* --- one attempt ---------------------------------------------------- *)
 
 (* Non-blocking connect bounded by [connect_s]: a black-holed SYN must
-   not pin the client for the kernel's minutes-long default. *)
+   not pin the client for the kernel's minutes-long default.  A host
+   that does not resolve is refused before a socket exists. *)
 let connect ~timeouts ~host ~port =
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  try
-    let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
-    Unix.set_nonblock sock;
-    (try Unix.connect sock addr with
-    | Unix.Unix_error ((Unix.EINPROGRESS | Unix.EWOULDBLOCK), _, _) -> (
-      match Unix.select [] [ sock ] [] timeouts.connect_s with
-      | _, [], _ ->
-        Wire.close_quietly sock;
-        raise
-          (Unix.Unix_error
-             (Unix.ETIMEDOUT, Printf.sprintf "connect to %s:%d" host port, ""))
-      | _, _ :: _, _ -> (
-        match Unix.getsockopt_error sock with
-        | Some e -> raise (Unix.Unix_error (e, "connect", ""))
-        | None -> ())));
-    Unix.clear_nonblock sock;
-    Unix.setsockopt_float sock Unix.SO_RCVTIMEO timeouts.read_s;
-    Unix.setsockopt_float sock Unix.SO_SNDTIMEO timeouts.write_s;
-    Ok sock
-  with Unix.Unix_error (e, fn, _) ->
-    Wire.close_quietly sock;
-    Error (classify_unix Connecting e fn)
+  match Wire.inet_addr host with
+  | Error msg -> Error (Refused msg)
+  | Ok inet_addr -> (
+    let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    try
+      let addr = Unix.ADDR_INET (inet_addr, port) in
+      Unix.set_nonblock sock;
+      (try Unix.connect sock addr with
+      | Unix.Unix_error ((Unix.EINPROGRESS | Unix.EWOULDBLOCK), _, _) -> (
+        match Unix.select [] [ sock ] [] timeouts.connect_s with
+        | _, [], _ ->
+          raise
+            (Unix.Unix_error
+               (Unix.ETIMEDOUT, Printf.sprintf "connect to %s:%d" host port, ""))
+        | _, _ :: _, _ -> (
+          match Unix.getsockopt_error sock with
+          | Some e -> raise (Unix.Unix_error (e, "connect", ""))
+          | None -> ())));
+      Unix.clear_nonblock sock;
+      Unix.setsockopt_float sock Unix.SO_RCVTIMEO timeouts.read_s;
+      Unix.setsockopt_float sock Unix.SO_SNDTIMEO timeouts.write_s;
+      Ok sock
+    with Unix.Unix_error (e, fn, _) ->
+      (* Every failure closes [sock] here, and only here: the connect
+         timeout's too. *)
+      Wire.close_quietly sock;
+      Error (classify_unix Connecting e fn))
 
 (* A connection owns its read buffers.  [chunk] takes each read: its
    first size suits the few-KB replies most requests get, and a reply

@@ -12,8 +12,8 @@
 
     - [Timeout]: connect, read or write exceeded its deadline;
     - [Refused]: the connection could not be established (connection
-      refused, unreachable network, ... — the errno is in the
-      message);
+      refused, unreachable network, a host name that does not
+      resolve, ... — the errno or the name is in the message);
     - [Overloaded]: the server shed the request (full work queue or
       injected fault) and hinted when to retry;
     - [Protocol]: the transport broke mid-exchange — unexpected EOF,

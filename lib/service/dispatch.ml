@@ -199,18 +199,11 @@ let cached_analysis t p = cached t p (fun () -> analysis_result p)
 
 (* One fan-out point (sweep variant or explore grid point), through
    the cache.  Unlike [cached_analysis] a miss does NOT rerun the full
-   pipeline: it re-prices the shared prepared BET, and consecutive
-   misses delta-chain through [prev] so a single-axis step re-prices
-   only dependent nodes. *)
-let cached_point t ~prepared ~prev p =
+   pipeline: it prices the shared prepared BET. *)
+let cached_point t ~prepared p =
   cached t p (fun () ->
       let prep = Lazy.force prepared in
-      let o =
-        match !prev with
-        | Some o -> P.Prepared.project_delta ~criteria:p.criteria ~prev:o prep p.machine
-        | None -> P.Prepared.project ~criteria:p.criteria prep p.machine
-      in
-      prev := Some o;
+      let o = P.Prepared.project ~criteria:p.criteria prep p.machine in
       Span.count "explore_bet_reuse_hits" 1.;
       render_outcome p ~bet_nodes:(P.Prepared.built prep).node_count o)
 
@@ -225,12 +218,11 @@ let finite ~what f =
 
 (* A sweep or explore point through the cache, as a reply fragment
    that splices the stored bytes. *)
-let grid_point t ~prepared ~prev p (pt : Designspace.point) =
+let grid_point t ~prepared p (pt : Designspace.point) =
   let entry =
     finite
       ~what:(fun () -> Designspace.values_label pt.Designspace.p_values)
-      (fun () ->
-        cached_point t ~prepared ~prev (at_machine p pt.Designspace.p_machine))
+      (fun () -> cached_point t ~prepared (at_machine p pt.Designspace.p_machine))
   in
   ( entry,
     Json.Obj
@@ -249,18 +241,17 @@ let prepare p =
 (* --- request kinds ------------------------------------------------- *)
 
 let run_sweep t p axis ~check_deadline =
-  (* All variants share one prepared BET and delta-chain through it.
-     They are a one-axis grid: the sweep's tags, on machines that keep
-     the base's name, so a point's fingerprint (and rendered result)
-     matches an equivalent override query. *)
+  (* All variants share one prepared BET.  They are a one-axis grid:
+     the sweep's tags, on machines that keep the base's name, so a
+     point's fingerprint (and rendered result) matches an equivalent
+     override query. *)
   let prepared = prepare p in
-  let prev = ref None in
   let points =
     Designspace.grid p.machine [ axis ]
     |> List.map (fun pt ->
            (* Cooperative cancellation between fan-out points. *)
            check_deadline ();
-           snd (grid_point t ~prepared ~prev p pt))
+           snd (grid_point t ~prepared p pt))
   in
   Json.Obj
     [
@@ -278,7 +269,6 @@ let run_explore t p (spec : Protocol.explore_spec) ~check_deadline =
   in
   let n = List.length pts in
   let prepared = prepare p in
-  let prev = ref None in
   let completed = ref 0 in
   let points =
     List.map
@@ -289,7 +279,7 @@ let run_explore t p (spec : Protocol.explore_spec) ~check_deadline =
          with Reject { code; message; _ } ->
            reject code
              (Printf.sprintf "%s after %d of %d points" message !completed n));
-        let entry, json = grid_point t ~prepared ~prev p pt in
+        let entry, json = grid_point t ~prepared p pt in
         Span.count "explore_points_evaluated" 1.;
         incr completed;
         (pt, entry.total_ms, Explore.cost_proxy pt.Designspace.p_machine, json))
@@ -351,9 +341,7 @@ let run_capabilities () =
    free-form source, so they bypass the cache. *)
 let run_lint (q : Protocol.lint_query) =
   let module L = Core.Lint in
-  let config =
-    { L.Engine.default_config with L.Engine.disabled = q.Protocol.l_disabled }
-  in
+  let config = { L.Engine.disabled = q.Protocol.l_disabled } in
   let target, diags =
     match (q.Protocol.l_workload, q.Protocol.l_source) with
     | Some name, _ ->

@@ -359,18 +359,9 @@ let parse_explore json =
   in
   let* () = if axes = [] then invalid "field \"axes\" must be non-empty" else Ok () in
   let* () =
-    let dup =
-      List.find_opt
-        (fun k ->
-          List.length
-            (List.filter (fun a -> Designspace.axis_key a = k)
-               axes)
-          > 1)
-        (List.map Designspace.axis_key axes)
-    in
-    match dup with
-    | Some k -> invalid (Printf.sprintf "axis %S appears more than once" k)
-    | None -> Ok ()
+    Result.map_error
+      (fun msg -> (Invalid_request, msg))
+      (Designspace.distinct axes)
   in
   let* e_sample =
     let* s = opt_int json "sample" ~default:0 in

@@ -316,7 +316,9 @@ let serve ?stop ~on_ready ?(handle_signals = true) ?faults ?recorder ?on_queue
   Fun.protect ~finally:restore_signals @@ fun () ->
   Fun.protect ~finally:(fun () -> Wire.close_quietly sock) @@ fun () ->
   Unix.setsockopt sock Unix.SO_REUSEADDR true;
-  let addr = Unix.inet_addr_of_string net.n_host in
+  let addr =
+    match Wire.inet_addr net.n_host with Ok a -> a | Error msg -> failwith msg
+  in
   Unix.bind sock (Unix.ADDR_INET (addr, net.n_port));
   Unix.listen sock 64;
   let port =

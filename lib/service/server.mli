@@ -77,7 +77,10 @@ val default_config : config
     (the hook for a gauge); [on_shutdown] runs after the drain.
     [recorder] receives a flight-recorder entry for every shed
     request (sheds never reach the handler, so without it they would
-    be invisible to [{"kind":"recent"}]). *)
+    be invisible to [{"kind":"recent"}]).
+    [n_host] is a numeric address or a name the system resolver
+    knows; raises [Failure] naming a host that does not resolve, and
+    [Unix.Unix_error] when the bind fails. *)
 val serve :
   ?stop:bool Atomic.t ->
   on_ready:(int -> unit) ->

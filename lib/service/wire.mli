@@ -11,3 +11,8 @@ val write_all : Unix.file_descr -> bytes -> int -> int -> unit
 (** [newline b i n] is the index of the first ['\n'] in [b]'s bytes
     [i, n), or [-1]: where a newline-framed message ends. *)
 val newline : bytes -> int -> int -> int
+
+(** The IPv4 address of [host]: a numeric address as written, else
+    the system resolver's first answer.  [Error] names a host that
+    does not resolve (the empty name among them). *)
+val inet_addr : string -> (Unix.inet_addr, string) result

@@ -75,9 +75,11 @@ for i in 0 1 2; do
 done
 
 ROUTER_LOG=$(mktmp .router.log)
+# One shard is named by host name: the router resolves it like any
+# other, and gate 1 needs it healthy.
 "$SKOPE" route --port 0 --probe-interval-ms 200 --fall 2 \
     --shard "127.0.0.1:${SHARD_PORTS[0]}" \
-    --shard "127.0.0.1:${SHARD_PORTS[1]}" \
+    --shard "localhost:${SHARD_PORTS[1]}" \
     --shard "127.0.0.1:${SHARD_PORTS[2]}" >"$ROUTER_LOG" 2>&1 &
 ROUTER_PID=$!
 PIDS+=("$ROUTER_PID")

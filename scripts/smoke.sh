@@ -115,10 +115,11 @@ echo "$NDJSON" | grep -q '"tag":"bw=7.0,freq=0.8"' \
     || fail "explore ndjson missing grid point"
 echo "$NDJSON" | grep -q '"pareto"' || fail "explore ndjson missing summary"
 
-echo "smoke: unparsable, out-of-range or unpriceable axis values exit 2"
+echo "smoke: unparsable, out-of-range, repeated or unpriceable axis values exit 2"
 # The last three are positive but price to an infinite time.
 for args in "sweep --axis bw --values 1,x,4" "sweep --axis bw --values 0,nan" \
     "sweep --axis vec --values 0.5" "explore --axis issue=0,2" \
+    "explore --axis bw=7 --axis bw=14" \
     "sweep --axis bw --values 1e-320,7" "sweep --axis freq --values 1e-310" \
     "explore --axis bw=1e-320,7"; do
     status=0

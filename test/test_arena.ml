@@ -1,8 +1,8 @@
 (* Tests for arena pricing: structural invariants of the flattened
    arena, bit-for-bit equivalence with the tree-walk oracle
-   ([Perf.project] + [Hotspot.select]) across the whole bundled fleet,
-   batch and delta re-pricing, the v2 cache fingerprint, and the v1
-   wire's inert ["engine"] field. *)
+   ([Perf.project] + [Hotspot.select]) across the whole bundled fleet
+   and a pooled grid, the v2 cache fingerprint, and the v1 wire's
+   inert ["engine"] field. *)
 
 module Json = Core.Report.Json
 module Service = Skope_service
@@ -47,23 +47,6 @@ let error_of response =
         | _ -> Alcotest.failf "error without %s: %s" key response
       in
       (str "code", str "message"))
-
-(* Equivalence checks compare the *whole* outcome structurally:
-   every Blockstat field (times, work, bound, note) and the full
-   hot-spot selection, not just totals. *)
-let check_outcomes_equal label (t : P.Prepared.outcome)
-    (a : P.Prepared.outcome) =
-  Alcotest.(check (float 0.))
-    (label ^ ": total time")
-    t.P.Prepared.o_total_time a.P.Prepared.o_total_time;
-  Alcotest.(check bool)
-    (label ^ ": blocks bit-identical")
-    true
-    (t.P.Prepared.o_blocks = a.P.Prepared.o_blocks);
-  Alcotest.(check bool)
-    (label ^ ": selection identical")
-    true
-    (t.P.Prepared.o_selection = a.P.Prepared.o_selection)
 
 (* The oracle: the recursive tree walk, then a hot-spot selection that
    re-sorts its input instead of trusting the producer's ranking. *)
@@ -116,23 +99,6 @@ let test_arena_invariants () =
         (Array.length a.Arena.pre_order))
     Registry.all
 
-let test_dep_masks () =
-  let zero = Core.Bet.Work.zero in
-  Alcotest.(check int) "zero work depends on nothing" 0
-    (Arena.deps_of_work zero);
-  let flops = { zero with Core.Bet.Work.flops = 4. } in
-  let d = Arena.deps_of_work flops in
-  Alcotest.(check bool) "flops -> freq" true (d land Arena.dep_freq <> 0);
-  Alcotest.(check bool) "flops -> cpu" true (d land Arena.dep_cpu <> 0);
-  Alcotest.(check bool) "pure flops not mem" true (d land Arena.dep_mem = 0);
-  let loads =
-    { zero with Core.Bet.Work.loads = 8.; Core.Bet.Work.lbytes = 64. }
-  in
-  let d = Arena.deps_of_work loads in
-  Alcotest.(check bool) "loads -> mem" true (d land Arena.dep_mem <> 0);
-  Alcotest.(check bool) "loads -> geom" true (d land Arena.dep_geom <> 0);
-  Alcotest.(check bool) "pure loads not div" true (d land Arena.dep_div = 0)
-
 (* --- equivalence with the oracle ----------------------------------- *)
 
 let cache_name = function
@@ -164,8 +130,7 @@ let test_fleet_identical () =
     Registry.all
 
 (* Hot-path annotation reads per-node time and ENR: the arena's tables
-   must equal the tree walk's bit for bit, after a full pricing and
-   after a delta pricing from the previous machine alike. *)
+   must equal the tree walk's bit for bit. *)
 let test_node_tables () =
   let same_table label (want : (int, float) Hashtbl.t) got =
     Alcotest.(check int) (label ^ ": size") (Hashtbl.length want)
@@ -188,100 +153,29 @@ let test_node_tables () =
       let arena = Arena.of_build built in
       List.iter
         (fun cache ->
-          let prev = ref None in
           List.iter
             (fun (m : Machine.t) ->
               let want = Perf.project ~cache m built in
-              let full = Arena_price.price ~cache arena m in
-              let priced =
-                [ ("full", full) ]
-                @
-                match !prev with
-                | Some p ->
-                  [ ("delta", Arena_price.price_delta ~cache ~prev:p arena m) ]
-                | None -> []
+              let got =
+                Arena_price.projection arena (Arena_price.price ~cache arena m)
               in
-              List.iter
-                (fun (how, p) ->
-                  let label =
-                    Fmt.str "%s on %s (%s, %s)" w.Registry.name m.Machine.name
-                      (cache_name cache) how
-                  in
-                  let got = Arena_price.projection arena p in
-                  same_table (label ^ " node_time") want.Perf.node_time
-                    got.Perf.node_time;
-                  same_table (label ^ " node_enr") want.Perf.node_enr
-                    got.Perf.node_enr;
-                  checked := !checked + Hashtbl.length want.Perf.node_time)
-                priced;
-              prev := Some full)
+              let label =
+                Fmt.str "%s on %s (%s)" w.Registry.name m.Machine.name
+                  (cache_name cache)
+              in
+              same_table (label ^ " node_time") want.Perf.node_time
+                got.Perf.node_time;
+              same_table (label ^ " node_enr") want.Perf.node_enr
+                got.Perf.node_enr;
+              checked := !checked + Hashtbl.length want.Perf.node_time)
             Machines.all)
         [ Perf.Constant; Perf.Footprint ])
     Registry.all;
   Alcotest.(check bool) "some nodes compared" true (!checked > 0)
 
-let test_batch_matches_mapped () =
-  let w = sord () in
-  let arena =
-    P.Prepared.create ~workload:w ~scale:w.Registry.default_scale ()
-  in
-  let axes =
-    [
-      Designspace.Frequency [ 0.8; 1.6; 3.2 ];
-      Designspace.Mem_bandwidth [ 7.; 14.; 28. ];
-      Designspace.Vector_width [ 2; 8 ];
-    ]
-  in
-  let machines =
-    Explore.grid_points (bgq ()) axes
-    |> List.map (fun (p : Designspace.point) -> p.Designspace.p_machine)
-    |> Array.of_list
-  in
-  let batch = P.Prepared.project_batch arena machines in
-  Alcotest.(check int) "one outcome per machine" (Array.length machines)
-    (Array.length batch);
-  Array.iteri
-    (fun i m ->
-      let solo = P.Prepared.project arena m in
-      check_outcomes_equal (Fmt.str "batch point %d" i) solo batch.(i))
-    machines
-
-(* A randomized single-axis walk: the delta path must agree with a
-   full re-price (and with the oracle) at every step, whatever axis
-   moved last. *)
-let test_delta_matches_full () =
-  let w = sord () in
-  let arena =
-    P.Prepared.create ~workload:w ~scale:w.Registry.default_scale ()
-  in
-  let rng = Random.State.make [| 42 |] in
-  let step (m : Machine.t) =
-    let pick l = List.nth l (Random.State.int rng (List.length l)) in
-    match Random.State.int rng 6 with
-    | 0 -> { m with Machine.freq_ghz = pick [ 0.8; 1.2; 1.6; 3.2 ] }
-    | 1 -> { m with Machine.issue_width = pick [ 1.; 2.; 4.; 8. ] }
-    | 2 -> { m with Machine.mem_bw_gbs = pick [ 7.; 14.; 28.; 56. ] }
-    | 3 -> { m with Machine.vector_width = List.nth [ 1; 2; 4; 8 ]
-                      (Random.State.int rng 4) }
-    | 4 -> { m with Machine.mem_latency_cycles = pick [ 40.; 107.; 214. ] }
-    | _ -> { m with Machine.div_latency = pick [ 10.; 32.; 69. ] }
-  in
-  let m = ref (bgq ()) in
-  let prev = ref (P.Prepared.project arena !m) in
-  for i = 1 to 40 do
-    m := step !m;
-    let full = P.Prepared.project arena !m in
-    let delta = P.Prepared.project_delta ~prev:!prev arena !m in
-    check_outcomes_equal (Fmt.str "walk step %d (full vs delta)" i) full delta;
-    check_against_oracle
-      (Fmt.str "walk step %d (oracle vs delta)" i)
-      (oracle arena !m) delta;
-    prev := delta
-  done
-
-(* The 4^5 = 1024-point grid, priced on a 4-domain pool with per-chunk
-   delta chains, must reproduce the tree walk exactly on every point,
-   Pareto frontier included. *)
+(* The 4^5 = 1024-point grid, priced on a 4-domain pool, must
+   reproduce the tree walk exactly on every point, Pareto frontier
+   included. *)
 let test_grid_pool_equivalence () =
   let w = sord () in
   let scale = 0.1 in
@@ -325,56 +219,6 @@ let test_grid_pool_equivalence () =
             (t.Perf.total_time, cost))
           want))
     (List.map (fun (p : Explore.point) -> p.Explore.tag) ra.Explore.pareto)
-
-(* The delta chain's mechanism, pinned as a count: priced in grid
-   order over the 1024-point five-axis SORD grid (last axis fastest,
-   so most consecutive points differ on one axis), the chain
-   re-estimates 13 392 slots where a full pass per point estimates
-   27 648.  Both counts are the same at any scale. *)
-let test_delta_chain_count () =
-  let w = sord () in
-  let axes =
-    [
-      Designspace.Frequency [ 0.8; 1.2; 1.6; 3.2 ];
-      Designspace.Issue_width [ 1.; 2.; 4.; 8. ];
-      Designspace.Mem_bandwidth [ 7.; 14.; 28.; 56. ];
-      Designspace.Mem_latency [ 40.; 80.; 160.; 320. ];
-      Designspace.Vector_width [ 1; 2; 4; 8 ];
-    ]
-  in
-  let machines =
-    List.map
-      (fun (p : Designspace.point) -> p.Designspace.p_machine)
-      (Explore.grid_points (bgq ()) axes)
-  in
-  let prepared = P.Prepared.create ~workload:w ~scale:0.1 () in
-  let arena = Arena.of_build (P.Prepared.built prepared) in
-  let priced f =
-    let count () =
-      Option.value ~default:0.
-        (List.assoc_opt "arena_nodes_priced" (Core.Telemetry.Span.counters ()))
-    in
-    let before = count () in
-    f ();
-    int_of_float (count () -. before)
-  in
-  let full =
-    priced (fun () ->
-        List.iter (fun m -> ignore (Arena_price.price arena m)) machines)
-  in
-  let chain =
-    priced (fun () ->
-        ignore
-          (List.fold_left
-             (fun prev m ->
-               Some
-                 (match prev with
-                 | None -> Arena_price.price arena m
-                 | Some prev -> Arena_price.price_delta ~prev arena m))
-             None machines))
-  in
-  Alcotest.(check int) "full pass per point" 27648 full;
-  Alcotest.(check int) "delta chain" 13392 chain
 
 (* --- fingerprint coverage ------------------------------------------ *)
 
@@ -562,21 +406,14 @@ let suite =
       [
         Alcotest.test_case "invariants over the fleet" `Quick
           test_arena_invariants;
-        Alcotest.test_case "dependency masks" `Quick test_dep_masks;
       ] );
     ( "arena.equivalence",
       [
         Alcotest.test_case "fleet bit-for-bit" `Quick test_fleet_identical;
         Alcotest.test_case "node time and ENR match the oracle" `Quick
           test_node_tables;
-        Alcotest.test_case "batch matches mapped project" `Quick
-          test_batch_matches_mapped;
-        Alcotest.test_case "delta matches full on a random walk" `Quick
-          test_delta_matches_full;
         Alcotest.test_case "1024-point grid under the pool" `Quick
           test_grid_pool_equivalence;
-        Alcotest.test_case "delta chain prices fewer slots" `Quick
-          test_delta_chain_count;
       ] );
     ( "arena.fingerprint",
       [

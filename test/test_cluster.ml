@@ -714,6 +714,63 @@ let test_e2e_pool_survives_idle_close () =
         Alcotest.(check int) "both forwarded" 2 (int_at [ "forwarded" ] m)
       | _ -> Alcotest.fail "expected one member")
 
+(* A member named by host name is reached like a numeric one: every
+   forward is answered and the kept connection is the only descriptor
+   it holds, and its probes succeed.  A member whose name does not
+   resolve (the empty name, which asks no name server) fails its
+   probes and is ejected like a dead shard, and the forwards it owned
+   fail over without leaving a descriptor or an in-flight count
+   behind.  An in-process cluster on such a host fails at once. *)
+let test_member_host_names () =
+  (match Local.start ~host:"" () with
+  | exception Failure msg ->
+    Alcotest.(check string) "cluster host" {|cannot resolve host ""|} msg
+  | c ->
+    Local.stop c;
+    Alcotest.fail "a cluster started on a host that does not resolve");
+  Test_service.with_server ~pool:1 (fun port ->
+      let t =
+        Router.create
+          {
+            Router.default_config with
+            Router.members =
+              [
+                { Router.m_id = "s0"; m_host = "localhost"; m_port = port };
+                { Router.m_id = "s1"; m_host = ""; m_port = port };
+              ];
+          }
+      in
+      let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+      let forward i =
+        let resp = Router.handle t (analyze_body (0.2 +. (0.01 *. float i))) in
+        Alcotest.(check (option string)) "answered by s0" (Some "s0")
+          (Router.shard_of_response resp);
+        ignore (response_result resp)
+      in
+      forward 0;
+      let fds = open_fds () in
+      for i = 1 to 8 do
+        forward i
+      done;
+      Alcotest.(check int) "no descriptor per forward" fds (open_fds ());
+      for _ = 1 to Router.default_config.Router.health.Health.fall do
+        Router.probe_once t
+      done;
+      let stats =
+        response_result (Router.handle t (Api.to_body Api.Cluster_stats))
+      in
+      match Json.member "members" stats with
+      | Some (Json.List [ s0; s1 ]) ->
+        Alcotest.(check (option string)) "s0 healthy" (Some "healthy")
+          (string_at "state" s0);
+        Alcotest.(check int) "s0 probed"
+          Router.default_config.Router.health.Health.fall
+          (int_at [ "probes_ok" ] s0);
+        Alcotest.(check (option string)) "s1 ejected" (Some "ejected")
+          (string_at "state" s1);
+        Alcotest.(check int) "s1 holds no request" 0 (int_at [ "in_flight" ] s1)
+      | _ -> Alcotest.fail "expected two members")
+
 (* Send [body] from a thread of its own, so that a server that answers
    before it has read the whole body (and then closes, resetting the
    rest) cannot stall the test, and read the one reply line. *)
@@ -797,7 +854,7 @@ let test_e2e_trace_propagation () =
       (* One id rides the whole path: client -> router -> owning shard. *)
       let resp =
         request port
-          (Api.to_body ~trace_id:tid
+          (Api.to_body ~trace_id:tid ~trace_parent:"caller"
              (Api.analyze
                 ~opts:{ Api.default_query_opts with Api.scale = Some 0.21 }
                 ~workload:"sord" ~machine:"bgq" ()))
@@ -833,7 +890,20 @@ let test_e2e_trace_propagation () =
           match Option.bind (Json.member "record" p) (Json.member "spans") with
           | Some (Json.List spans) ->
             Alcotest.(check bool) "process contributed spans" true
-              (List.length spans >= 1)
+              (List.length spans >= 1);
+            (* The router's context comes first in the forwarded body,
+               so the shard takes it over the caller's. *)
+            if string_at "process" p = Some owner then
+              Alcotest.(check (list (option string)))
+                "shard's request span parent" [ Some "router" ]
+                (List.filter_map
+                   (fun sp ->
+                     if string_at "name" sp = Some "request" then
+                       Some
+                         (Option.bind (Json.member "attrs" sp)
+                            (string_at "trace_parent"))
+                     else None)
+                   spans)
           | _ -> Alcotest.fail "process record has no spans")
         processes;
       (* The merged result converts to Chrome trace_event JSON that
@@ -929,6 +999,8 @@ let suite =
           test_e2e_trace_propagation;
         Alcotest.test_case "pooled forward survives an idle close" `Quick
           test_e2e_pool_survives_idle_close;
+        Alcotest.test_case "members named by host name" `Quick
+          test_member_host_names;
         Alcotest.test_case "oversized stays at the router" `Quick
           test_e2e_oversized_stays_at_router;
       ] );

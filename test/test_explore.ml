@@ -281,6 +281,15 @@ let test_explore_validation () =
   Alcotest.(check string) "duplicate axis" "invalid_request"
     (code
        {|{"kind":"explore","workload":"sord","machine":"bgq","axes":[{"axis":"bw","values":[1]},{"axis":"bw","values":[2]}]}|});
+  (* [skope explore] applies the same rule to its --axis list. *)
+  Alcotest.(check (result unit string))
+    "duplicate axis rule" (Error {|axis "bw" appears more than once|})
+    (Designspace.distinct
+       [
+         Designspace.Frequency [ 0.8 ];
+         Designspace.Mem_bandwidth [ 7. ];
+         Designspace.Mem_bandwidth [ 14. ];
+       ]);
   Alcotest.(check string) "unknown axis key" "invalid_request"
     (code
        {|{"kind":"explore","workload":"sord","machine":"bgq","axes":[{"axis":"warp","values":[1]}]}|});

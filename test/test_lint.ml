@@ -370,7 +370,7 @@ let test_full_text () =
         (render full);
       List.iter
         (fun code ->
-          let config = { E.default_config with E.disabled = [ code ] } in
+          let config = { E.disabled = [ code ] } in
           Alcotest.(check string)
             (Fmt.str "%s: disabling %s drops only its diagnostics" label code)
             (render (List.filter (fun d -> d.D.code <> code) full))
@@ -414,13 +414,10 @@ let test_json_rendering () =
 
 let test_rule_config () =
   let program = Skeleton.Parser.parse ~file:"defects.skope" defect_source in
-  let config = { E.default_config with E.disabled = all_rules } in
+  let config = { E.disabled = all_rules } in
   Alcotest.(check int) "disabling every rule silences the engine" 0
     (List.length (E.run ~config ~inputs:defect_inputs program));
-  let only_l4 =
-    { E.default_config with
-      E.disabled = List.filter (fun c -> c <> "L004") all_rules }
-  in
+  let only_l4 = { E.disabled = List.filter (fun c -> c <> "L004") all_rules } in
   let ds = E.run ~config:only_l4 ~inputs:defect_inputs program in
   Alcotest.(check bool) "only L004 remains" true
     (ds <> [] && List.for_all (fun d -> d.D.code = "L004") ds)

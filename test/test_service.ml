@@ -680,7 +680,8 @@ let test_parse_overloaded_response () =
 (* Run a real server on an ephemeral port for the duration of [f].
    The [stop] flag (not a signal) ends the accept loop so the server
    drains and joins deterministically inside the test process. *)
-let with_server ?faults ?(pool = 2) ?(queue = 8) ?read_timeout f =
+let with_server ?faults ?(host = Server.default_net.n_host) ?(pool = 2)
+    ?(queue = 8) ?read_timeout f =
   let stop = Atomic.make false in
   let port = ref 0 in
   let config =
@@ -688,6 +689,7 @@ let with_server ?faults ?(pool = 2) ?(queue = 8) ?read_timeout f =
       Server.net =
         {
           Server.default_net with
+          n_host = host;
           n_pool = pool;
           n_queue_capacity = queue;
           n_read_timeout_s =
@@ -826,12 +828,41 @@ let test_client_refused_is_structured () =
     | _ -> Alcotest.fail "no port"
   in
   Unix.close sock;
-  match
-    Client.request ~retry:Client.no_retry ~host:"127.0.0.1" ~port version_body
-  with
-  | Error (Client.Refused _) -> ()
-  | Error e -> Alcotest.failf "expected refused, got %a" Client.pp_error e
-  | Ok _ -> Alcotest.fail "expected refused, got a response"
+  (* A host that does not resolve is refused too, and leaves no
+     descriptor open.  The empty name fails without a name server. *)
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let fds = open_fds () in
+  List.iter
+    (fun host ->
+      match Client.request ~retry:Client.no_retry ~host ~port version_body with
+      | Error (Client.Refused _) -> ()
+      | Error e ->
+        Alcotest.failf "%S: expected refused, got %a" host Client.pp_error e
+      | Ok _ -> Alcotest.failf "%S: expected refused, got a response" host)
+    [ "127.0.0.1"; "" ];
+  Alcotest.(check int) "no descriptor left open" fds (open_fds ())
+
+(* A listener and its clients may name the host: "localhost" comes
+   from the hosts file, without a name server.  A listener whose host
+   does not resolve fails before it binds. *)
+let test_host_names () =
+  with_server ~host:"localhost" (fun port ->
+      match
+        Client.request ~retry:Client.no_retry ~host:"localhost" ~port
+          version_body
+      with
+      | Ok resp -> ignore (result_of resp)
+      | Error e -> Alcotest.failf "round trip failed: %a" Client.pp_error e);
+  let config =
+    {
+      Server.default_config with
+      Server.net = { Server.default_net with n_host = ""; n_port = 0 };
+    }
+  in
+  match Server.run ~handle_signals:false ~on_ready:ignore config with
+  | () -> Alcotest.fail "served on a host that does not resolve"
+  | exception Failure msg ->
+    Alcotest.(check string) "message" {|cannot resolve host ""|} msg
 
 let test_retries_ride_through_drops () =
   (* 30% connection drops under a fixed fault seed: every one of 50
@@ -1462,6 +1493,7 @@ let suite =
           test_client_detects_truncation;
         Alcotest.test_case "refused is structured" `Quick
           test_client_refused_is_structured;
+        Alcotest.test_case "host names resolve" `Quick test_host_names;
         Alcotest.test_case "retries ride through drops" `Quick
           test_retries_ride_through_drops;
       ] );
