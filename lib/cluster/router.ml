@@ -164,7 +164,7 @@ let route_order t key =
 (* --- forwarding ------------------------------------------------------ *)
 
 type forward_outcome =
-  | Forwarded of Member.t * string
+  | Forwarded of Member.t
   | Shard_overloaded of { retry_after_ms : float option; message : string }
   | No_shard
 
@@ -193,9 +193,10 @@ let with_trace_context ~trace_id body =
     Bytes.unsafe_to_string out
 
 (* Returns the outcome plus how many shards this request failed over
-   past (the record's retries column).  Each attempt runs in its own
-   child span, so a failover chain is visible in the trace tree. *)
-let forward t ~trace_id ~key body =
+   past (the record's retries column); a forwarded reply is in [out].
+   Each attempt runs in its own child span, so a failover chain is
+   visible in the trace tree. *)
+let forward t out ~trace_id ~key body =
   let failovers = ref 0 in
   let rec go = function
     | [] -> (No_shard, !failovers)
@@ -205,14 +206,14 @@ let forward t ~trace_id ~key body =
         Span.with_ ~name:"forward" ~attrs:[ ("shard", Member.id m) ]
           (fun () ->
             Client.pooled_request ~retry:t.config.forward_retry
-              (Member.pool m) body)
+              (Member.pool m) out body)
       in
       match result with
-      | Ok resp ->
+      | Ok () ->
         Member.end_request m ~ok:true;
         observe_health t m ~ok:true;
         Atomic.incr t.forwards;
-        (Forwarded (m, resp), !failovers)
+        (Forwarded m, !failovers)
       | Error (Client.Overloaded { retry_after_ms; message }) ->
         (* The shard answered: it is alive, just shedding.  Surface its
            backoff hint instead of stampeding the successor (whose
@@ -239,43 +240,45 @@ let forward t ~trace_id ~key body =
   in
   go (route_order t key)
 
-(* [needle] occurs in [s] at [i]; compares in place. *)
-let occurs_at s i needle =
+(* [needle] occurs in [b]'s first [n] bytes at [i]; compares in place. *)
+let occurs_at b n i needle =
   let m = String.length needle in
   let rec go j =
-    j = m || (String.unsafe_get s (i + j) = String.unsafe_get needle j && go (j + 1))
+    j = m || (Bytes.unsafe_get b (i + j) = String.unsafe_get needle j && go (j + 1))
   in
-  i >= 0 && i + m <= String.length s && go 0
+  i >= 0 && i + m <= n && go 0
 
 (* Append ["trace_id"] — unless the shard, having adopted the forwarded
-   trace context, already echoes one — and ["shard"] to a proxied
-   response's top-level object, copying it once.  Proxied bodies can
-   be large, so this never re-serializes. *)
-let splice_reply ~trace_id ~shard resp =
-  let n = String.length resp in
-  if n < 2 || resp.[n - 1] <> '}' then resp
-  else begin
+   trace context, already echoes one — and ["shard"] to the proxied
+   response in [out], in place: the closing brace gives way to the
+   fields and comes back after them.  Proxied bodies can be large, so
+   this never re-serializes or copies them. *)
+let splice_reply ~trace_id ~shard out =
+  let b = Json.Buf.bytes out and n = Json.Buf.length out in
+  if n >= 2 && Bytes.get b (n - 1) = '}' then begin
     let marker = "\"trace_id\":" in
     let rec has_trace i =
-      i + String.length marker <= n && (occurs_at resp i marker || has_trace (i + 1))
+      i + String.length marker <= n && (occurs_at b n i marker || has_trace (i + 1))
     in
-    let fields =
-      (if has_trace 0 then [] else [ marker ^ json_string trace_id ])
-      @ [ "\"shard\":" ^ json_string shard ]
-    in
-    let sep = if resp.[n - 2] = '{' then "" else "," in
-    let tail = sep ^ String.concat "," fields ^ "}" in
-    let out = Bytes.create (n - 1 + String.length tail) in
-    Bytes.blit_string resp 0 out 0 (n - 1);
-    Bytes.blit_string tail 0 out (n - 1) (String.length tail);
-    Bytes.unsafe_to_string out
+    let traced = has_trace 0 and empty = Bytes.get b (n - 2) = '{' in
+    Json.Buf.truncate out (n - 1);
+    if not empty then Json.Buf.add_char out ',';
+    if not traced then begin
+      Json.Buf.add_string out marker;
+      Json.write out (Json.String trace_id);
+      Json.Buf.add_char out ','
+    end;
+    Json.Buf.add_string out "\"shard\":";
+    Json.write out (Json.String shard);
+    Json.Buf.add_char out '}'
   end
 
 let shard_of_response resp =
   let marker = "\"shard\":\"" in
   (* The router appends the field, so scan backwards from the tail. *)
+  let text = Bytes.unsafe_of_string resp and n = String.length resp in
   let rec find i =
-    if i < 0 then None else if occurs_at resp i marker then Some i else find (i - 1)
+    if i < 0 then None else if occurs_at text n i marker then Some i else find (i - 1)
   in
   match find (String.length resp - String.length marker) with
   | None -> None
@@ -537,10 +540,10 @@ let run_trace t id =
 
 (* --- entry points ---------------------------------------------------- *)
 
-let handle ?received_at t body =
+let respond ?received_at t out body =
   Atomic.incr t.requests;
   Dispatch.answer ~recorder:t.recorder ~span:"route" ~prefix:"rtr" ?received_at
-    body
+    out body
   @@ fun call request ->
   match request with
   | Protocol.Cluster_stats -> Dispatch.Answer (run_cluster_stats t)
@@ -560,15 +563,16 @@ let handle ?received_at t body =
        router's trace context. *)
     let trace_id = call.Dispatch.trace_id in
     let outcome, fails =
-      forward t ~trace_id
+      forward t out ~trace_id
         ~key:(affinity_key t request body)
         (with_trace_context ~trace_id body)
     in
     call.Dispatch.retries <- fails;
     match outcome with
-    | Forwarded (m, resp) ->
+    | Forwarded m ->
       call.Dispatch.shard <- Some (Member.id m);
-      Dispatch.Relay (splice_reply ~trace_id ~shard:(Member.id m) resp)
+      splice_reply ~trace_id ~shard:(Member.id m) out;
+      Dispatch.Relay
     | Shard_overloaded { retry_after_ms; message } ->
       Dispatch.reject ?retry_after_ms Protocol.Overloaded message
     | No_shard ->
@@ -579,6 +583,9 @@ let handle ?received_at t body =
         ~retry_after_ms:(1000. *. t.config.probe_interval_s)
         Protocol.Overloaded
         "no healthy shard available; retry after the next probe cycle")
+
+let handle ?received_at t body =
+  Dispatch.unframed (fun out -> respond ?received_at t out body)
 
 (* Routable members get a cheap [version] probe; ejected ones must
    answer [capabilities] with a matching protocol version before
@@ -648,4 +655,4 @@ let run ?stop ?on_ready ?handle_signals (config : config) =
       Array.iter (fun m -> Client.close_idle (Member.pool m)) t.members)
   @@ fun () ->
   Server.serve ~stop ~on_ready ?handle_signals ~recorder:t.recorder config.net
-    ~handler:(fun ~received_at body -> handle ~received_at t body)
+    ~handler:(fun ~received_at out body -> respond ~received_at t out body)

@@ -53,12 +53,19 @@ type t
     probe cycle or data-path failure corrects this). *)
 val create : config -> t
 
-(** Handle one request body (the router's [Server.serve] handler):
-    {!Skope_service.Dispatch.answer} with span ["route"], ids
-    ["rtr-NNNNNN"] and the router's own flight recorder, whose records
-    name the answering shard and the failovers.  So an oversized or
-    unparsable body is answered here, under a trace id, and never
-    reaches a shard.  Never raises. *)
+(** Answer one request body into a worker's buffer [out] (the
+    router's [Server.serve] handler): {!Skope_service.Dispatch.answer}
+    with span ["route"], ids ["rtr-NNNNNN"] and the router's own
+    flight recorder, whose records name the answering shard and the
+    failovers.  So an oversized or unparsable body is answered here,
+    under a trace id, and never reaches a shard.  A forwarded reply is
+    read from the shard straight into [out], checked there
+    ({!Skope_service.Client.classify_body}) and spliced in place
+    ({!splice_reply}): it is never copied.  Never raises. *)
+val respond :
+  ?received_at:float -> t -> Skope_report.Json.Buf.t -> string -> unit
+
+(** {!respond} on a fresh buffer: the response, without its newline. *)
 val handle : ?received_at:float -> t -> string -> string
 
 (** One synchronous probe sweep over all members — the prober thread's
@@ -76,11 +83,13 @@ val run :
   config ->
   unit
 
-(** A proxied response as the router returns it: [resp] with
+(** Turn the proxied response in [out] into the router's, in place:
     ["trace_id"] (only when the shard did not already echo one) and
-    ["shard"] appended to its top-level object, in one copy.  A body
-    that does not end in ['}'] is returned unchanged. *)
-val splice_reply : trace_id:string -> shard:string -> string -> string
+    ["shard"] appended to its top-level object, with no leading comma
+    in an empty one.  A body that does not end in ['}'] is left
+    unchanged. *)
+val splice_reply :
+  trace_id:string -> shard:string -> Skope_report.Json.Buf.t -> unit
 
 (** The ["shard"] field the router appended to a proxied response —
     shared by the CLI histogram, the bench and the tests.  A cheap

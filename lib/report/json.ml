@@ -14,6 +14,70 @@ type t =
   | Obj of (string * t) list
   | Raw of string
 
+(* A growable byte buffer whose bytes are reachable: a socket write
+   or read can use them in place, and [check_buf] scans them, where
+   [Stdlib.Buffer] would copy them out first.  The writer below targets
+   it; its adds are as cheap as [Buffer]'s. *)
+module Buf = struct
+  (* [cap] is [Bytes.length bytes], kept in the record: the adds
+     compare against it on every call, and reading a block's length
+     from its header costs more than reading a field. *)
+  type t = { mutable bytes : Bytes.t; mutable cap : int; mutable length : int }
+
+  let create n =
+    let cap = max 16 n in
+    { bytes = Bytes.create cap; cap; length = 0 }
+
+  let length b = b.length
+  let bytes b = b.bytes
+  let clear b = b.length <- 0
+
+  let truncate b n =
+    if n < 0 || n > b.length then invalid_arg "Json.Buf.truncate";
+    b.length <- n
+
+  (* Doubles the capacity until [more] bytes fit past the content. *)
+  let reserve b more =
+    let need = b.length + more in
+    if need > b.cap then begin
+      let cap = ref b.cap in
+      while !cap < need do
+        cap := 2 * !cap
+      done;
+      let bytes = Bytes.create !cap in
+      Bytes.blit b.bytes 0 bytes 0 b.length;
+      b.bytes <- bytes;
+      b.cap <- !cap
+    end
+
+  let advance b n =
+    if n < 0 || b.length + n > b.cap then invalid_arg "Json.Buf.advance";
+    b.length <- b.length + n
+
+  let add_char b c =
+    let n = b.length in
+    if n >= b.cap then reserve b 1;
+    Bytes.unsafe_set b.bytes n c;
+    b.length <- n + 1
+
+  let add_string b s =
+    let m = String.length s and n = b.length in
+    if n + m > b.cap then reserve b m;
+    Bytes.unsafe_blit_string s 0 b.bytes n m;
+    b.length <- n + m
+
+  let add_subbytes b src pos m =
+    let n = b.length in
+    if n + m > b.cap then reserve b m;
+    Bytes.unsafe_blit src pos b.bytes n m;
+    b.length <- n + m
+
+  let sub_string b pos n =
+    if pos < 0 || n < 0 || pos + n > b.length then
+      invalid_arg "Json.Buf.sub_string";
+    Bytes.sub_string b.bytes pos n
+end
+
 let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
 
 let rec clean s i =
@@ -236,99 +300,100 @@ let float_repr f =
 let add_float buf f =
   let b = Bytes.create scratch in
   let n = put_repr b f in
-  if n < 0 then Buffer.add_string buf (slow_repr f) else Buffer.add_subbytes buf b 0 n
+  if n < 0 then Buf.add_string buf (slow_repr f) else Buf.add_subbytes buf b 0 n
 
 let add_int buf i =
   if i >= 0 && i < pow10.(17) then begin
     let b = Bytes.create 17 in
     let n = ndigits i 1 in
     put_digits b n i;
-    Buffer.add_subbytes buf b 0 n
+    Buf.add_subbytes buf b 0 n
   end
-  else Buffer.add_string buf (string_of_int i)
+  else Buf.add_string buf (string_of_int i)
 
 (* Direct recursion rather than [List.iteri]: no closure per
    container on the reply path. *)
 let rec write buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Null -> Buf.add_string buf "null"
+  | Bool b -> Buf.add_string buf (if b then "true" else "false")
   | Int i -> add_int buf i
   | Float f -> add_float buf f
-  | Raw s -> Buffer.add_string buf s
+  | Raw s -> Buf.add_string buf s
   | String s -> write_string buf s
-  | List [] -> Buffer.add_string buf "[]"
+  | List [] -> Buf.add_string buf "[]"
   | List (x :: l) ->
-    Buffer.add_char buf '[';
+    Buf.add_char buf '[';
     write buf x;
     write_items buf l;
-    Buffer.add_char buf ']'
-  | Obj [] -> Buffer.add_string buf "{}"
+    Buf.add_char buf ']'
+  | Obj [] -> Buf.add_string buf "{}"
   | Obj (kv :: fields) ->
-    Buffer.add_char buf '{';
+    Buf.add_char buf '{';
     write_member buf kv;
     write_members buf fields;
-    Buffer.add_char buf '}'
+    Buf.add_char buf '}'
 
 and write_string buf s =
-  Buffer.add_char buf '"';
-  Buffer.add_string buf (escape s);
-  Buffer.add_char buf '"'
+  Buf.add_char buf '"';
+  Buf.add_string buf (escape s);
+  Buf.add_char buf '"'
 
 and write_items buf = function
   | [] -> ()
   | x :: l ->
-    Buffer.add_char buf ',';
+    Buf.add_char buf ',';
     write buf x;
     write_items buf l
 
 and write_member buf (k, v) =
   write_string buf k;
-  Buffer.add_char buf ':';
+  Buf.add_char buf ':';
   write buf v
 
 and write_members buf = function
   | [] -> ()
   | kv :: l ->
-    Buffer.add_char buf ',';
+    Buf.add_char buf ',';
     write_member buf kv;
     write_members buf l
 
 let to_string t =
-  let buf = Buffer.create 256 in
+  let buf = Buf.create 256 in
   write buf t;
-  Buffer.contents buf
+  Buf.sub_string buf 0 (Buf.length buf)
 
 (* --- parser (RFC 8259) -------------------------------------------- *)
 
 exception Parse_error of int * string
 
-type parser_state = { text : string; mutable pos : int }
+(* The text is [text]'s first [len] bytes: all of a string, or the
+   content of a {!Buf.t}. *)
+type parser_state = { text : string; len : int; mutable pos : int }
 
-let at_end st = st.pos >= String.length st.text
+let at_end st = st.pos >= st.len
 
 (* The byte under the cursor, read by index.  Past the end it is NUL:
    every branch that rejects NUL also rejects the end of input, and
    tells the two apart with [at_end] only to word its message. *)
 let peek st =
-  if st.pos < String.length st.text then String.unsafe_get st.text st.pos
-  else '\000'
+  if st.pos < st.len then String.unsafe_get st.text st.pos else '\000'
 
 let advance st = st.pos <- st.pos + 1
 
 let fail st msg = raise (Parse_error (st.pos, msg))
 
-(* The hot loops below are top-level functions over the text and a
-   local index, storing the cursor once.  A local recursive function
-   would capture the text, and without flambda that allocates a
-   closure on every call, which a scan makes per token. *)
-let rec ws_end s i =
-  if i < String.length s then
+(* The hot loops below are top-level functions over the text, its
+   end and a local index, storing the cursor once.  A local recursive
+   function would capture the text, and without flambda that
+   allocates a closure on every call, which a scan makes per token. *)
+let rec ws_end s n i =
+  if i < n then
     match String.unsafe_get s i with
-    | ' ' | '\t' | '\n' | '\r' -> ws_end s (i + 1)
+    | ' ' | '\t' | '\n' | '\r' -> ws_end s n (i + 1)
     | _ -> i
   else i
 
-let skip_ws st = st.pos <- ws_end st.text st.pos
+let skip_ws st = st.pos <- ws_end st.text st.len st.pos
 
 let expect st c =
   let x = peek st in
@@ -345,7 +410,7 @@ let rec matches s pos word i =
 
 let literal st word value =
   let n = String.length word in
-  if st.pos + n <= String.length st.text && matches st.text st.pos word 0
+  if st.pos + n <= st.len && matches st.text st.pos word 0
   then begin
     st.pos <- st.pos + n;
     value
@@ -389,16 +454,16 @@ let hex4 st =
 
 (* Advance over a string's unescaped bytes.  Returns [true] on the
    closing quote (not consumed), [false] on a backslash. *)
-let rec plain_end s i =
-  if i >= String.length s then i
+let rec plain_end s n i =
+  if i >= n then i
   else
     match String.unsafe_get s i with
     | '"' | '\\' -> i
     | c when Char.code c < 0x20 -> i
-    | _ -> plain_end s (i + 1)
+    | _ -> plain_end s n (i + 1)
 
 let scan_plain st =
-  st.pos <- plain_end st.text st.pos;
+  st.pos <- plain_end st.text st.len st.pos;
   match peek st with
   | '"' -> true
   | '\\' -> false
@@ -427,7 +492,7 @@ let rec decode_escaped st buf =
     if cp >= 0xD800 && cp <= 0xDBFF then begin
       (* high surrogate: require a \uXXXX low surrogate *)
       if
-        st.pos + 1 < String.length st.text
+        st.pos + 1 < st.len
         && st.text.[st.pos] = '\\'
         && st.text.[st.pos + 1] = 'u'
       then begin
@@ -473,14 +538,14 @@ let skip_string st =
     ignore (parse_string st)
   end
 
-let rec digits_end s i =
-  if i < String.length s then
-    match String.unsafe_get s i with '0' .. '9' -> digits_end s (i + 1) | _ -> i
+let rec digits_end s n i =
+  if i < n then
+    match String.unsafe_get s i with '0' .. '9' -> digits_end s n (i + 1) | _ -> i
   else i
 
 let digits st =
   let start = st.pos in
-  st.pos <- digits_end st.text start;
+  st.pos <- digits_end st.text st.len start;
   if st.pos = start then fail st "expected digit"
 
 (* Advance over one number; returns whether it has a fraction or an
@@ -608,19 +673,23 @@ and check_member st () =
   colon st;
   check_value st
 
-let run value text =
-  let st = { text; pos = 0 } in
+let run value text len =
+  let st = { text; len; pos = 0 } in
   match value st with
   | v ->
     skip_ws st;
-    if st.pos < String.length text then
+    if st.pos < len then
       Error (Printf.sprintf "byte %d: trailing input after JSON value" st.pos)
     else Ok v
   | exception Parse_error (pos, msg) ->
     Error (Printf.sprintf "byte %d: %s" pos msg)
 
-let of_string text = run parse_value text
-let check text = run check_value text
+let of_string text = run parse_value text (String.length text)
+let check text = run check_value text (String.length text)
+
+(* The scan reads the bytes as a string for its duration only; nothing
+   writes to [b] meanwhile. *)
+let check_buf b = run check_value (Bytes.unsafe_to_string (Buf.bytes b)) (Buf.length b)
 
 (* --- accessors ----------------------------------------------------- *)
 

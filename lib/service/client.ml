@@ -109,62 +109,53 @@ let connect ~timeouts ~host ~port =
       Wire.close_quietly sock;
       Error (classify_unix Connecting e fn))
 
-(* A connection owns its read buffers.  [chunk] takes each read: its
-   first size suits the few-KB replies most requests get, and a reply
-   that outgrows it swaps in a 64 KiB one for the rest of the
-   connection's life (an explore grid's reply runs to hundreds of KB).
-   [buf] gathers a reply that spans reads.  One thread uses a
-   connection at a time, so a pooled connection reuses both for every
-   reply it carries. *)
-type conn = { sock : Unix.file_descr; mutable chunk : Bytes.t; buf : Buffer.t }
-
-let open_conn ~timeouts ~host ~port =
-  Result.map
-    (fun sock -> { sock; chunk = Bytes.create 4096; buf = Buffer.create 1024 })
-    (connect ~timeouts ~host ~port)
-
-(* Read one newline-terminated response.  EOF before the newline is a
-   distinct, structured outcome: an empty buffer means the server
-   closed without answering (or dropped us), a non-empty one means the
-   response was truncated mid-flight.  A reply comes with whether it
-   ended where the last read did: bytes past its newline belong to no
-   exchange, so that connection must not carry another. *)
-let rec read_response c =
-  match Unix.read c.sock c.chunk 0 (Bytes.length c.chunk) with
+(* Read one newline-terminated response into [out] and keep the
+   response alone there.  EOF before the newline is a distinct,
+   structured outcome: an empty buffer means the server closed without
+   answering (or dropped us), a non-empty one means the response was
+   truncated mid-flight.  A reply comes with whether it ended where
+   the last read did: bytes past its newline belong to no exchange, so
+   that connection must not carry another.  Each read scans only the
+   bytes it got. *)
+let rec read_response sock out =
+  let start = Json.Buf.length out in
+  match Wire.read_into sock out with
   | 0 ->
-    if Buffer.length c.buf = 0 then
+    if start = 0 then
       Error (Protocol "server closed the connection without a response")
     else
       Error
         (Protocol
            (Printf.sprintf "truncated response (%d bytes, no terminating newline)"
-              (Buffer.length c.buf)))
+              start))
   | n ->
-    let i = Wire.newline c.chunk 0 n in
-    if i < 0 then begin
-      Buffer.add_subbytes c.buf c.chunk 0 n;
-      if Bytes.length c.chunk < 65536 then c.chunk <- Bytes.create 65536;
-      read_response c
-    end
-    else if Buffer.length c.buf = 0 then
-      Ok (Bytes.sub_string c.chunk 0 i, i = n - 1)
+    let i = Wire.newline (Json.Buf.bytes out) start (start + n) in
+    if i < 0 then read_response sock out
     else begin
-      Buffer.add_subbytes c.buf c.chunk 0 i;
-      Ok (Buffer.contents c.buf, i = n - 1)
+      Json.Buf.truncate out i;
+      Ok (i = start + n - 1)
     end
+
+let ok_prefix = Bytes.of_string Protocol.ok_prefix
 
 (* A complete response that decodes to an [overloaded] envelope is a
    transient, retryable failure — surface it as a structured error so
    the retry loop (and the caller) can honor the backoff hint.  An ok
-   reply cannot be one, so it is only checked for well-formedness:
-   relaying or counting a large result never pays for its decode. *)
-let classify_body response =
-  if String.starts_with ~prefix:Protocol.ok_prefix response then
-    match Json.check response with
-    | Ok () -> Ok response
-    | Error e -> Error (Protocol (Printf.sprintf "response is not JSON: %s" e))
+   reply cannot be one, so it is only checked for well-formedness,
+   where it lies: relaying or counting a large result never pays for
+   its decode or a copy.  Any other reply is small; it is copied out
+   to be decoded. *)
+let classify_body out =
+  if
+    Json.Buf.length out >= Bytes.length ok_prefix
+    && Bytes.starts_with ~prefix:ok_prefix (Json.Buf.bytes out)
+  then
+    Result.map_error
+      (fun e -> Protocol (Printf.sprintf "response is not JSON: %s" e))
+      (Json.check_buf out)
   else
-    match Service_api.parse_response response with
+    let reply = Json.Buf.sub_string out 0 (Json.Buf.length out) in
+    match Service_api.parse_response reply with
     | Ok { r_ok = false; r_error_code = Some "overloaded"; r_error_message;
            r_retry_after_ms; _ } ->
       Error
@@ -174,26 +165,26 @@ let classify_body response =
              message =
                Option.value ~default:"server overloaded" r_error_message;
            })
-    | Ok _ -> Ok response
+    | Ok _ -> Ok ()
     | Error msg -> Error (Protocol msg)
 
-(* One request and its reply on [c], judged by [classify_body].  A
-   reply comes with whether [c] can carry another.  A failure comes
-   with whether the connection ended before any reply byte (EOF, EPIPE
-   or ECONNRESET): on a reused connection, most likely a server that
-   closed it while it sat idle.  [c.buf] is empty until a reply byte
-   arrives. *)
-let exchange c body =
-  Buffer.clear c.buf;
-  let ended e = Error (e, Buffer.length c.buf = 0) in
+(* One request and its reply on [sock], the reply read into [out] and
+   judged by [classify_body].  A reply comes with whether [sock] can
+   carry another.  A failure comes with whether the connection ended
+   before any reply byte (EOF, EPIPE or ECONNRESET): on a reused
+   connection, most likely a server that closed it while it sat idle.
+   [out] is empty until a reply byte arrives. *)
+let exchange sock out body =
+  Json.Buf.clear out;
+  let ended e = Error (e, Json.Buf.length out = 0) in
   match
     let line = Protocol.frame body in
-    Wire.write_all c.sock line 0 (Bytes.length line);
-    read_response c
+    Wire.write_all sock line 0 (Bytes.length line);
+    read_response sock out
   with
-  | Ok (response, whole) -> (
-    match classify_body response with
-    | Ok response -> Ok (response, whole)
+  | Ok whole -> (
+    match classify_body out with
+    | Ok () -> Ok whole
     | Error e -> Error (e, false))
   | Error e -> ended e
   | exception Unix.Unix_error (((Unix.EPIPE | Unix.ECONNRESET) as e), fn, _) ->
@@ -202,25 +193,29 @@ let exchange c body =
     Error (classify_unix Exchanging e fn, false)
 
 (* [close] failures must not mask the exchange's result, so a close
-   error is deliberately dropped. *)
+   error is deliberately dropped.  The reply is copied out of the read
+   buffer once: its size is unknown until it is in. *)
 let roundtrip ?(timeouts = default_timeouts) ~host ~port body =
-  match open_conn ~timeouts ~host ~port with
+  match connect ~timeouts ~host ~port with
   | Error e -> Error e
-  | Ok c -> (
-    let result = exchange c body in
-    Wire.close_quietly c.sock;
+  | Ok sock -> (
+    let out = Json.Buf.create 4096 in
+    let result = exchange sock out body in
+    Wire.close_quietly sock;
     match result with
-    | Ok (response, _) -> Ok response
+    | Ok _ -> Ok (Json.Buf.sub_string out 0 (Json.Buf.length out))
     | Error (e, _) -> Error e)
 
 (* --- persistent connections ----------------------------------------- *)
 
+(* Idle connections are bare sockets: a reply is read into the
+   caller's buffer, so a connection owns nothing that grows. *)
 type pool = {
   p_host : string;
   p_port : int;
   p_timeouts : timeouts;
   p_lock : Mutex.t;
-  mutable p_idle : conn list;
+  mutable p_idle : Unix.file_descr list;
 }
 
 let pool ~timeouts ~host ~port =
@@ -254,32 +249,32 @@ let close_idle pool =
   let idle = pool.p_idle in
   pool.p_idle <- [];
   Mutex.unlock pool.p_lock;
-  List.iter (fun c -> Wire.close_quietly c.sock) idle
+  List.iter Wire.close_quietly idle
 
 (* A reused connection that ended before any reply byte sends the
    request once more on a fresh connection.  That is part of this
    attempt, not a retry: the pool carries idempotent requests only. *)
-let rec fresh_attempt pool body =
+let rec fresh_attempt pool out body =
   match
-    open_conn ~timeouts:pool.p_timeouts ~host:pool.p_host ~port:pool.p_port
+    connect ~timeouts:pool.p_timeouts ~host:pool.p_host ~port:pool.p_port
   with
   | Error e -> Error e
-  | Ok c -> attempt_on pool c ~reused:false body
+  | Ok sock -> attempt_on pool sock ~reused:false out body
 
-and attempt_on pool c ~reused body =
-  let result = exchange c body in
+and attempt_on pool sock ~reused out body =
+  let result = exchange sock out body in
   (match result with
-  | Ok (_, true) -> give pool c
-  | Ok (_, false) | Error _ -> Wire.close_quietly c.sock);
+  | Ok true -> give pool sock
+  | Ok false | Error _ -> Wire.close_quietly sock);
   match result with
-  | Ok (response, _) -> Ok response
-  | Error (_, true) when reused -> fresh_attempt pool body
+  | Ok _ -> Ok ()
+  | Error (_, true) when reused -> fresh_attempt pool out body
   | Error (e, _) -> Error e
 
-let pooled_attempt pool body =
+let pooled_attempt pool out body =
   match take pool with
-  | Some c -> attempt_on pool c ~reused:true body
-  | None -> fresh_attempt pool body
+  | Some sock -> attempt_on pool sock ~reused:true out body
+  | None -> fresh_attempt pool out body
 
 (* --- retry loop ----------------------------------------------------- *)
 
@@ -311,8 +306,8 @@ let with_retries ~retry ?on_retry attempt =
 let request ?timeouts ?(retry = default_retry) ?on_retry ~host ~port body =
   with_retries ~retry ?on_retry (fun () -> roundtrip ?timeouts ~host ~port body)
 
-let pooled_request ?(retry = default_retry) pool body =
-  with_retries ~retry (fun () -> pooled_attempt pool body)
+let pooled_request ?(retry = default_retry) pool out body =
+  with_retries ~retry (fun () -> pooled_attempt pool out body)
 
 (* --- load generator ------------------------------------------------- *)
 

@@ -65,16 +65,20 @@ val no_retry : retry
     exact schedule. *)
 val backoff_ms : retry -> int -> float
 
-(** How a complete response body is judged (every call below ends
-    here): a reply starting with {!Protocol.ok_prefix} is only checked
-    to be well-formed JSON, never decoded; any other reply is decoded,
-    and an [overloaded] envelope becomes {!Overloaded} with its
-    [retry_after_ms].  Malformed JSON is a [Protocol] error. *)
-val classify_body : string -> (string, error) result
+(** How a complete response body, the content of a read buffer, is
+    judged (every call below ends here): a reply starting with
+    {!Protocol.ok_prefix} is only checked to be well-formed JSON, in
+    place ({!Json.check_buf}), never decoded or copied; any other
+    reply is copied out and decoded, and an [overloaded] envelope
+    becomes {!Overloaded} with its [retry_after_ms].  Malformed JSON
+    is a [Protocol] error. *)
+val classify_body : Skope_report.Json.Buf.t -> (unit, error) result
 
 (** One request/response round trip on a fresh connection, closed
     after the reply (the server would keep it open for more requests;
-    see {!pooled_request} for a caller that uses that).  No retries. *)
+    see {!pooled_request} for a caller that uses that).  The reply is
+    read into a buffer of the call's own and copied out once.  No
+    retries. *)
 val roundtrip :
   ?timeouts:timeouts ->
   host:string ->
@@ -99,24 +103,28 @@ val request :
 
 (** {1 Persistent connections} *)
 
-(** Idle connections to one server, each with read buffers of its own
-    that every reply it carries reuses.  A connection serves one
-    request at a time, so a pool holds at most as many connections as
-    it has had concurrent requests. *)
+(** Idle connections to one server.  A connection owns no buffer: each
+    reply is read into the caller's.  A connection serves one request
+    at a time, so a pool holds at most as many connections as it has
+    had concurrent requests. *)
 type pool
 
 (** An empty pool for [host:port]; connections it opens carry
     [timeouts]. *)
 val pool : timeouts:timeouts -> host:string -> port:int -> pool
 
-(** {!request} over the pool, for idempotent requests only: each
-    attempt takes an idle connection (or opens one) and gives it back
-    after a reply that {!classify_body} accepts; any other outcome
-    closes it.  A reused connection that ends before any reply byte
+(** {!request} over the pool, for idempotent requests only, reading
+    the reply into [out]: on [Ok], [out] holds the reply alone, without
+    its newline (on [Error], whatever was read).  Each attempt empties
+    [out], takes an idle connection (or opens one) and gives it back
+    after a reply that {!classify_body} accepts and that ended where
+    the last read did; any other outcome (bytes past the reply's
+    newline among them) closes it.  A reused connection that ends before any reply byte
     (EOF, EPIPE or ECONNRESET: the server closed it while it was idle)
     sends the request once more on a fresh connection, within the same
     attempt: that is neither a retry nor a [client_retries] count. *)
-val pooled_request : ?retry:retry -> pool -> string -> (string, error) result
+val pooled_request :
+  ?retry:retry -> pool -> Skope_report.Json.Buf.t -> string -> (unit, error) result
 
 (** Close every idle connection (in-use ones return to the pool). *)
 val close_idle : pool -> unit

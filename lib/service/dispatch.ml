@@ -517,7 +517,7 @@ type call = {
   mutable retries : int;
 }
 
-type reply = Answer of Json.t | Relay of string
+type reply = Answer of Json.t | Relay
 
 (* Per-request trace ids, process-wide so concurrent worker domains
    never collide.  Minted only when the caller did not send a trace
@@ -526,7 +526,14 @@ type reply = Answer of Json.t | Relay of string
    the id, and adopting it is what makes the id span processes. *)
 let next_trace = Atomic.make 1
 
-let answer ~recorder ?metrics ~span ~prefix ?received_at body handler =
+(* [out] holds the response as it is built, and an answer or error
+   replaces whatever a handler left there. *)
+let rewrite out json =
+  Json.Buf.clear out;
+  Json.write out json
+
+let answer ~recorder ?metrics ~span ~prefix ?received_at out body handler =
+  Json.Buf.clear out;
   let received_at =
     match received_at with Some x -> x | None -> Unix.gettimeofday ()
   in
@@ -565,8 +572,7 @@ let answer ~recorder ?metrics ~span ~prefix ?received_at body handler =
   in
   let kind = ref "?" in
   let outcome = ref "ok" in
-  let response =
-    Span.with_context ~attrs:[ ("trace_id", trace_id) ] @@ fun () ->
+  (Span.with_context ~attrs:[ ("trace_id", trace_id) ] @@ fun () ->
     Span.with_ ~name:span @@ fun () ->
     Option.iter (Span.set_attr "trace_parent") trace_parent;
     try
@@ -576,8 +582,8 @@ let answer ~recorder ?metrics ~span ~prefix ?received_at body handler =
       kind := Protocol.kind_label request;
       Span.set_attr "kind" !kind;
       match handler call request with
-      | Answer result -> Protocol.ok_response ~trace_id result
-      | Relay response -> response
+      | Answer result -> rewrite out (Protocol.ok_envelope ~trace_id result)
+      | Relay -> ()
     with
     | Reject { code; message; retry_after_ms } ->
       outcome := Protocol.error_code_to_string code;
@@ -586,14 +592,16 @@ let answer ~recorder ?metrics ~span ~prefix ?received_at body handler =
         Log.emit ~level:Log.Warn ~trace_id "deadline_exceeded"
           [ ("kind", Log.Str !kind); ("message", Log.Str message) ]
       | _ -> ());
-      Protocol.error_response ?retry_after_ms ~trace_id code message
+      rewrite out
+        (Protocol.error_envelope ?retry_after_ms ~trace_id code message)
     | exn ->
       outcome := Protocol.error_code_to_string Protocol.Internal;
       Log.emit ~level:Log.Error ~trace_id "internal_error"
         [ ("kind", Log.Str !kind); ("exn", Log.Str (Printexc.to_string exn)) ];
-      Protocol.error_response ~trace_id Protocol.Internal
-        (Printexc.to_string exn)
-  in
+      rewrite out
+        (Protocol.error_envelope ~trace_id Protocol.Internal
+           (Printexc.to_string exn)));
+  Json.Buf.add_char out '\n';
   let finished_at = Unix.gettimeofday () in
   Option.iter
     (fun m ->
@@ -604,14 +612,18 @@ let answer ~recorder ?metrics ~span ~prefix ?received_at body handler =
     ?shard:call.shard ~outcome:!outcome ~retries:call.retries ~queue_wait_ms
     ~start:received_at
     ~duration_ms:((finished_at -. received_at) *. 1e3)
-    ();
-  response
+    ()
+
+let unframed respond =
+  let out = Json.Buf.create 1024 in
+  respond out;
+  Json.Buf.sub_string out 0 (Json.Buf.length out - 1)
 
 (* --- entry point --------------------------------------------------- *)
 
-let handle ?received_at t body =
+let respond ?received_at t out body =
   answer ~recorder:t.recorder ~metrics:t.metrics ~span:"request" ~prefix:"req"
-    ?received_at body
+    ?received_at out body
   @@ fun call request ->
   (* Resolved once per request: the recorded fingerprint is the key an
      analyze looks up, and the one the router routed on. *)
@@ -658,3 +670,5 @@ let handle ?received_at t body =
       reject Protocol.Invalid_request
         "cluster_stats is served by the cluster router (skope route), not by \
          a single skoped")
+
+let handle ?received_at t body = unframed (fun out -> respond ?received_at t out body)

@@ -1,8 +1,8 @@
 (** Request execution: the request lifecycle, validation, catalog
     lookup, the projection cache, and metrics accounting.  Pure with
-    respect to I/O — the server hands it a request body and writes
-    back the returned string — so the whole protocol is testable
-    without sockets. *)
+    respect to I/O — the server hands it a request body and a worker's
+    output buffer, and writes out what it leaves there — so the whole
+    protocol is testable without sockets. *)
 
 module Json = Skope_report.Json
 
@@ -50,8 +50,8 @@ val query_parts :
 
 (** {1 The request lifecycle}
 
-    What every request goes through, in skoped ({!handle}) and in the
-    cluster router ([Router.handle]) alike. *)
+    What every request goes through, in skoped ({!respond}) and in the
+    cluster router ([Router.respond]) alike. *)
 
 (** One request as its handler sees it: its trace id, when it entered
     the system and its [timeout_ms], plus what the handler notes for
@@ -65,16 +65,22 @@ type call = {
   mutable retries : int;  (** shards it failed over past *)
 }
 
-(** A handler's answer: a result, sent as an ok response under the
-    request's trace id, or a whole response, returned as is. *)
-type reply = Answer of Json.t | Relay of string
+(** A handler's answer: a result, rendered as an ok response under
+    the request's trace id, or [Relay]: the handler has written a whole
+    response (without its newline) into the output buffer, which is
+    sent as is. *)
+type reply = Answer of Json.t | Relay
 
 (** Refuse the request: {!answer} turns this into an error response
     with [code], [message] and, when given, [retry_after_ms]. *)
 val reject : ?retry_after_ms:float -> Protocol.error_code -> string -> 'a
 
-(** Answer one request body, returning the response body (always a
-    single-line JSON string, never raising).  A body over
+(** Answer one request body into [out]: what it leaves there is the
+    whole response and its newline (one JSON line, always; it never
+    raises).  [out] is emptied first, and the ok or error response is
+    rendered straight into it, so a reply is never copied on its way
+    to the socket; a {!reject} or an exception after the handler wrote
+    there replaces those bytes.  A body over
     {!Protocol.max_request_bytes} is answered [oversized], and one
     that {!Protocol.parse_request} refuses gets its error; either way
     [handler] never sees it.  A caller-supplied [{"trace":{"id":…}}]
@@ -96,11 +102,20 @@ val answer :
   span:string ->
   prefix:string ->
   ?received_at:float ->
+  Json.Buf.t ->
   string ->
   (call -> Protocol.request -> reply) ->
-  string
+  unit
 
-(** {!answer} for skoped: span ["request"], ids ["req-NNNNNN"], this
-    dispatcher's recorder and metrics.  Queue wait also counts toward
-    the request's [timeout_ms] deadline. *)
+(** [unframed respond] runs [respond] on a fresh buffer and returns the
+    response it left there, without its newline. *)
+val unframed : (Json.Buf.t -> unit) -> string
+
+(** {!answer} for skoped, into a worker's buffer: span ["request"],
+    ids ["req-NNNNNN"], this dispatcher's recorder and metrics.  Queue
+    wait also counts toward the request's [timeout_ms] deadline.  A
+    cached projection's bytes are copied into [out] once. *)
+val respond : ?received_at:float -> t -> Json.Buf.t -> string -> unit
+
+(** {!respond} on a fresh buffer: the response, without its newline. *)
 val handle : ?received_at:float -> t -> string -> string

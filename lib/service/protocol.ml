@@ -532,13 +532,13 @@ let trace_field = function
   | Some id -> [ ("trace_id", Json.String id) ]
   | None -> []
 
-let ok_response ?trace_id result =
-  Json.to_string
-    (Json.Obj
-       ([ ("v", Json.Int protocol_version); ("ok", Json.Bool true) ]
-       @ trace_field trace_id
-       @ [ ("result", result) ]))
+let ok_envelope ?trace_id result =
+  Json.Obj
+    ([ ("v", Json.Int protocol_version); ("ok", Json.Bool true) ]
+    @ trace_field trace_id
+    @ [ ("result", result) ])
 
+let ok_response ?trace_id result = Json.to_string (ok_envelope ?trace_id result)
 let ok_prefix = Printf.sprintf {|{"v":%d,"ok":true|} protocol_version
 
 let frame body =
@@ -548,20 +548,19 @@ let frame body =
   Bytes.set line n '\n';
   line
 
-let error_response ?retry_after_ms ?trace_id code message =
-  Json.to_string
-    (Json.Obj
-       ([ ("v", Json.Int protocol_version); ("ok", Json.Bool false) ]
-       @ trace_field trace_id
-       @ [
-           ( "error",
-             Json.Obj
-               ([
-                  ("code", Json.String (error_code_to_string code));
-                  ("message", Json.String message);
-                ]
-               @
-               match retry_after_ms with
-               | Some ms -> [ ("retry_after_ms", Json.Float ms) ]
-               | None -> []) );
-         ]))
+let error_envelope ?retry_after_ms ?trace_id code message =
+  Json.Obj
+    ([ ("v", Json.Int protocol_version); ("ok", Json.Bool false) ]
+    @ trace_field trace_id
+    @ [
+        ( "error",
+          Json.Obj
+            ([
+               ("code", Json.String (error_code_to_string code));
+               ("message", Json.String message);
+             ]
+            @
+            match retry_after_ms with
+            | Some ms -> [ ("retry_after_ms", Json.Float ms) ]
+            | None -> []) );
+      ])

@@ -204,8 +204,13 @@ val parse_request : string -> (request * envelope, error_code * string) result
 val resolve_machine :
   query -> (Machine.t, error_code * string) result
 
-(** [trace_id] is echoed as a top-level ["trace_id"] field so callers
-    can correlate responses with the flight recorder and logs. *)
+(** The ok response for [result]: [{"v":1,"ok":true,"result":…}].
+    [trace_id] is echoed as a top-level ["trace_id"] field so callers
+    can correlate responses with the flight recorder and logs.  A
+    server renders it into a worker's buffer ({!Json.write}). *)
+val ok_envelope : ?trace_id:string -> Json.t -> Json.t
+
+(** {!ok_envelope}'s text. *)
 val ok_response : ?trace_id:string -> Json.t -> string
 
 (** The bytes every {!ok_response} starts with, and no error response
@@ -214,10 +219,13 @@ val ok_response : ?trace_id:string -> Json.t -> string
 val ok_prefix : string
 
 (** A body as it goes on the wire: its bytes plus the terminating
-    newline, in one copy. *)
+    newline, in one copy.  For a request, or a reply written outside a
+    worker (the accept loop's shed). *)
 val frame : string -> bytes
 
-(** [retry_after_ms] adds the client backoff hint — meaningful only
-    with {!Overloaded}.  [trace_id] as in {!ok_response}. *)
-val error_response :
-  ?retry_after_ms:float -> ?trace_id:string -> error_code -> string -> string
+(** The error response [{"v":1,"ok":false,"error":{"code":…,
+    "message":…}}].  [retry_after_ms] adds the client backoff hint —
+    meaningful only with {!Overloaded}.  [trace_id] as in
+    {!ok_envelope}. *)
+val error_envelope :
+  ?retry_after_ms:float -> ?trace_id:string -> error_code -> string -> Json.t

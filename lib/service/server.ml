@@ -95,8 +95,8 @@ let retry_after_ms ~queue_depth ~pool =
   let slots_ahead = float_of_int (max 1 queue_depth) /. float_of_int (max 1 pool) in
   Float.max 25. (Float.min 1000. (per_slot_ms *. slots_ahead))
 
-let overloaded_response ?trace_id ~queue ~pool message =
-  Protocol.error_response
+let overloaded ?trace_id ~queue ~pool message =
+  Protocol.error_envelope
     ~retry_after_ms:(retry_after_ms ~queue_depth:(Workqueue.length queue) ~pool)
     ?trace_id Protocol.Overloaded message
 
@@ -135,11 +135,12 @@ let count_fault ?trace_id ~faults ~fd fault =
       ]
     | None -> [])
 
-(* Serve one request on [c]; [true] when the connection can carry
-   another.  Faults are drawn per request, before the read, so a
-   client that opens a connection per request meets the same sequence
-   whatever the server keeps open. *)
-let serve_request net faults handler queue chunk c received_at =
+(* Serve one request on [c], its reply built in [out] and written from
+   there; [true] when the connection can carry another.  Faults are
+   drawn per request, before the read, so a client that opens a
+   connection per request meets the same sequence whatever the server
+   keeps open. *)
+let serve_request net faults handler queue chunk out c received_at =
   let fd = c.fd in
   try
     let decision =
@@ -159,29 +160,30 @@ let serve_request net faults handler queue chunk c received_at =
         let trace_id =
           if Faults.injected decision > 0 then trace_id_of_body body else None
         in
-        let response =
-          if decision.Faults.d_overload then begin
-            count_fault ?trace_id ~faults ~fd "overload";
-            overloaded_response ?trace_id ~queue ~pool:net.n_pool
-              "injected transient overload (fault injection)"
-          end
-          else handler ~received_at body
-        in
+        if decision.Faults.d_overload then begin
+          count_fault ?trace_id ~faults ~fd "overload";
+          Json.Buf.clear out;
+          Json.write out
+            (overloaded ?trace_id ~queue ~pool:net.n_pool
+               "injected transient overload (fault injection)");
+          Json.Buf.add_char out '\n'
+        end
+        else handler ~received_at out body;
         (match decision.Faults.d_delay_ms with
         | Some ms ->
           count_fault ?trace_id ~faults ~fd "delay";
           Thread.delay (ms /. 1e3)
         | None -> ());
-        let line = Protocol.frame response in
+        let line = Json.Buf.bytes out and n = Json.Buf.length out in
         if decision.Faults.d_truncate then begin
           count_fault ?trace_id ~faults ~fd "truncate";
           (* Half the payload, no newline: the client must detect the
              torn frame rather than parse garbage. *)
-          Wire.write_all fd line 0 (Bytes.length line / 2);
+          Wire.write_all fd line 0 (n / 2);
           false
         end
         else begin
-          Wire.write_all fd line 0 (Bytes.length line);
+          Wire.write_all fd line 0 n;
           match request with Line _ -> true | Torn _ | Eof -> false
         end
   with
@@ -240,14 +242,18 @@ let take_returns r ~close =
   Mutex.unlock r.lock;
   List.rev conns
 
-(* Each worker reads through one chunk of its own, allocated once. *)
+(* Each worker reads through one chunk of its own and writes every
+   reply from one buffer of its own, both allocated once.  The buffer
+   grows to the largest reply the worker has written (~200 KB for a
+   128-point explore) and keeps that capacity, so a reply costs no
+   allocation the size of itself. *)
 let worker net faults handler queue returns =
-  let chunk = Bytes.create 4096 in
+  let chunk = Bytes.create 4096 and out = Json.Buf.create 4096 in
   let rec loop () =
     match Workqueue.pop queue with
     | Quit -> ()
     | Conn (c, received_at) ->
-      if serve_request net faults handler queue chunk c received_at then
+      if serve_request net faults handler queue chunk out c received_at then
         hand_back returns c
       else Wire.close_quietly c.fd;
       loop ()
@@ -281,8 +287,9 @@ let shed ?recorder net queue fd =
      Unix.setsockopt_float fd Unix.SO_SNDTIMEO 1.;
      let line =
        Protocol.frame
-         (overloaded_response ~trace_id ~queue ~pool:net.n_pool
-            "work queue is full; retry after the hinted backoff")
+         (Json.to_string
+            (overloaded ~trace_id ~queue ~pool:net.n_pool
+               "work queue is full; retry after the hinted backoff"))
      in
      Wire.write_all fd line 0 (Bytes.length line)
    with Unix.Unix_error _ -> ());
@@ -290,8 +297,8 @@ let shed ?recorder net queue fd =
 
 (* The generic accept-loop/worker-pool server: everything skoped
    except request execution, which is the [handler]'s business.  Both
-   the single-process skoped ([run], handler = Dispatch.handle) and
-   the cluster router (handler = Router.handle) are instances. *)
+   the single-process skoped ([run], handler = Dispatch.respond) and
+   the cluster router (handler = Router.respond) are instances. *)
 let serve ?stop ~on_ready ?(handle_signals = true) ?faults ?recorder ?on_queue
     ?on_shutdown net ~handler =
   let stop = match stop with Some s -> s | None -> Atomic.make false in
@@ -466,5 +473,5 @@ let run ?stop ?on_ready ?handle_signals config =
         (100. *. v.Metrics.hit_rate)
         (v.Metrics.p50 *. 1e3))
     config.net
-    ~handler:(fun ~received_at body ->
-      Dispatch.handle ~received_at dispatch body)
+    ~handler:(fun ~received_at out body ->
+      Dispatch.respond ~received_at dispatch out body)

@@ -3,7 +3,8 @@
     One accept loop feeds a bounded {!Workqueue} drained by a fixed
     pool of OCaml 5 [Domain] workers.  A connection carries any number
     of newline-terminated JSON requests, each answered by one response
-    line, in order.  A worker reads one request, writes its response
+    line, in order.  A worker reads one request, has the handler build
+    the response in the worker's output buffer, writes it from there
     and hands the connection back to the accept loop, which watches
     its idle connections with [select] alongside the listening socket:
     a connection that becomes readable is queued like a fresh accept,
@@ -65,7 +66,11 @@ val default_config : config
 (** The generic accept-loop/worker-pool server: [handler] receives one
     request body at a time (with the time it arrived: accepted, or
     found readable on an idle connection, so queue wait counts toward
-    deadlines) and returns the response line.  All the reliability
+    deadlines) and the worker's output buffer, and leaves the whole
+    response line in that buffer, newline included: the worker writes
+    it from there.  Each worker owns one buffer, allocated once; it
+    grows to the largest response the worker writes (~200 KB for a
+    128-point explore) and keeps that capacity.  All the reliability
     posture above — admission control, per-connection deadlines,
     graceful drain, optional fault injection — applies to any handler.
     [on_ready] receives the bound port (useful with [n_port = 0])
@@ -90,7 +95,7 @@ val serve :
   ?on_queue:((unit -> int) -> unit) ->
   ?on_shutdown:(unit -> unit) ->
   net ->
-  handler:(received_at:float -> string -> string) ->
+  handler:(received_at:float -> Skope_report.Json.Buf.t -> string -> unit) ->
   unit
 
 (** Serve until SIGINT/SIGTERM, or until [stop] (checked a few times a

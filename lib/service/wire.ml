@@ -6,6 +6,17 @@ let rec write_all fd bytes pos len =
     write_all fd bytes (pos + n) (len - n)
   end
 
+(* At least 4 KiB free per read: a reply that fills the buffer doubles
+   it, so a large one takes a few reads and a buffer at its capacity
+   takes it in as few as the socket allows. *)
+let read_into fd b =
+  let module Buf = Skope_report.Json.Buf in
+  Buf.reserve b 4096;
+  let bytes = Buf.bytes b and n = Buf.length b in
+  let got = Unix.read fd bytes n (Bytes.length bytes - n) in
+  Buf.advance b got;
+  got
+
 let rec newline b i n =
   if i >= n then -1
   else if Bytes.unsafe_get b i = '\n' then i

@@ -8,6 +8,12 @@ val close_quietly : Unix.file_descr -> unit
     however many writes that takes. *)
 val write_all : Unix.file_descr -> bytes -> int -> int -> unit
 
+(** [read_into fd b] reads once from [fd] into [b]'s free space,
+    appending what it got to the content, and returns how many bytes
+    that was: [0] at end of file.  [b] grows when less than 4 KiB of
+    it is free, and keeps that capacity. *)
+val read_into : Unix.file_descr -> Skope_report.Json.Buf.t -> int
+
 (** [newline b i n] is the index of the first ['\n'] in [b]'s bytes
     [i, n), or [-1]: where a newline-framed message ends. *)
 val newline : bytes -> int -> int -> int

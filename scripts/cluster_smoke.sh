@@ -5,7 +5,8 @@
 #   2. a repeated query sticks to one shard and is a cache hit there —
 #      and on no other shard (disjoint caches); one trace id spans
 #      router and shard, and a body the router cannot parse still gets
-#      a router-minted id listed in its recent errors;
+#      a router-minted id listed in its recent errors; a relayed reply
+#      is the owning shard's own bytes plus the shard field;
 #   3. after SIGKILL of the owning shard, queries keep succeeding via
 #      failover, the router never crashes, and the dead shard is
 #      ejected by the health probes.
@@ -183,6 +184,27 @@ BAD_ID=$(echo "$BAD" | grep -o '"trace_id":"rtr-[0-9]*"' | cut -d'"' -f4)
 [ -n "$BAD_ID" ] || fail "parse error carries no rtr- trace id: $BAD"
 q --kind recent --errors-only | grep -q "\"trace_id\":\"$BAD_ID\"" \
     || fail "router's recent errors do not list $BAD_ID"
+
+# A relayed reply is its owning shard's own bytes plus the shard field:
+# a 125-point grid (~190 KB, several reads at both hops), then a small
+# analyze through the same router workers, each compared with the same
+# body sent to that shard directly.
+echo "cluster_smoke: gate 2d: relayed replies are the shard's bytes"
+GRID='[{"axis":"bw","values":[7,14,21,28,35]},{"axis":"freq","values":[0.4,0.8,1.2,1.6,2.0]},{"axis":"lat","values":[50,100,150,200,250]}]'
+for BODY in \
+    "{\"kind\":\"explore\",\"workload\":\"sord\",\"machine\":\"bgq\",\"axes\":$GRID,\"trace\":{\"id\":\"smoke-relay-explore\"}}" \
+    '{"kind":"analyze","workload":"srad","machine":"xeon","trace":{"id":"smoke-relay-analyze"}}'; do
+    VIA=$(mktmp .via.json)
+    DIRECT=$(mktmp .direct.json)
+    q --body "$BODY" --retries 0 >"$VIA" || fail "relayed request: $BODY"
+    RSHARD=$(grep -o '"shard":"s[0-9]*"}$' "$VIA" | cut -d'"' -f4)
+    [ -n "$RSHARD" ] || fail "relayed reply names no shard: $BODY"
+    "$SKOPE" query --port "${SHARD_PORTS[${RSHARD#s}]}" --body "$BODY" \
+        --retries 0 >"$DIRECT" || fail "direct request to $RSHARD"
+    sed "s/,\"shard\":\"$RSHARD\"}\$/}/" "$VIA" | cmp -s - "$DIRECT" \
+        || fail "reply relayed from $RSHARD differs from its own: $BODY"
+done
+[ "$(wc -c <"$DIRECT")" -lt 65536 ] || fail "the analyze reply is not small"
 
 # --- gate 3: SIGKILL the owner; failover keeps answering --------------
 

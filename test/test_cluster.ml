@@ -322,9 +322,17 @@ let test_cluster_stats_kind () =
   | Error e -> Alcotest.failf "undecodable response: %s" e
 
 (* The router appends "trace_id" (unless the shard echoed one) and
-   "shard" in one pass, and its shard scan reads them back. *)
+   "shard" in place, and its shard scan reads them back.  One buffer
+   serves every case, as a worker's does, after a longer reply. *)
 let test_splice_reply () =
-  let splice = Router.splice_reply ~trace_id:"rtr-1" ~shard:"s0" in
+  let out = Json.Buf.create 16 in
+  Json.Buf.add_string out (String.make 200 'x');
+  let splice resp =
+    Json.Buf.clear out;
+    Json.Buf.add_string out resp;
+    Router.splice_reply ~trace_id:"rtr-1" ~shard:"s0" out;
+    Json.Buf.sub_string out 0 (Json.Buf.length out)
+  in
   let echoed = {|{"v":1,"ok":true,"trace_id":"t-9","result":{"x":1}}|} in
   Alcotest.(check string) "shard echoed its trace id"
     {|{"v":1,"ok":true,"trace_id":"t-9","result":{"x":1},"shard":"s0"}|}
@@ -942,6 +950,186 @@ let test_e2e_trace_propagation () =
       Alcotest.(check bool) "request visible on owning shard" true
         (List.mem tid recent_ids))
 
+(* --- the relay: replies read and written in a worker's buffer --------- *)
+
+let one_shard_router ?(retry = Router.default_config.Router.forward_retry) port =
+  Router.create
+    {
+      Router.default_config with
+      Router.members = [ { Router.m_id = "s0"; m_host = "127.0.0.1"; m_port = port } ];
+      forward_retry = retry;
+    }
+
+(* What a worker leaves in its buffer after one request. *)
+let relay t out body =
+  Router.respond t out body;
+  Json.Buf.sub_string out 0 (Json.Buf.length out)
+
+(* A 125-point grid: ~190 KB of reply, so several reads. *)
+let explore_125 =
+  let values k = List.init 5 (fun i -> k *. float_of_int (i + 1)) in
+  Api.to_body ~trace_id:"relay-explore"
+    (Api.explore ~workload:"sord" ~machine:"bgq"
+       ~axes:[ ("bw", values 7.); ("freq", values 0.4); ("lat", values 50.) ]
+       ())
+
+(* A forward through a warm worker buffer allocates no block the size
+   of its reply on the calling domain: the reply is read, checked,
+   spliced and framed where it lies. *)
+let test_relay_allocates_no_reply () =
+  Test_service.with_server ~pool:1 (fun port ->
+      let t = one_shard_router port in
+      let out = Json.Buf.create 16 in
+      ignore (relay t out explore_125);
+      let _, _, before = Gc.counters () in
+      Router.respond t out explore_125;
+      let _, _, after = Gc.counters () in
+      let reply_words =
+        float_of_int (Json.Buf.length out) /. float_of_int (Sys.word_size / 8)
+      in
+      Alcotest.(check (option string))
+        "answered by s0" (Some "s0")
+        (Router.shard_of_response (Json.Buf.sub_string out 0 (Json.Buf.length out - 1)));
+      Alcotest.(check bool)
+        (Printf.sprintf "%.0f major words, under one %.0f-word reply"
+           (after -. before) reply_words)
+        true
+        (after -. before < reply_words))
+
+(* One worker buffer carries replies of every size through one pooled
+   connection: a large one, then a small one, then a medium one, each
+   exactly the shard's own answer plus the shard field, with nothing
+   left over from a longer predecessor. *)
+let test_relay_exact_across_sizes () =
+  Test_service.with_server ~pool:1 (fun port ->
+      let t = one_shard_router port in
+      let out = Json.Buf.create 16 in
+      let bodies =
+        [
+          explore_125;
+          Api.to_body ~trace_id:"relay-analyze"
+            (Api.analyze ~workload:"sord" ~machine:"bgq" ());
+          Api.to_body ~trace_id:"relay-sweep"
+            (Api.sweep ~workload:"sord" ~machine:"bgq" ~axis:"bw"
+               ~values:(List.init 8 (fun i -> float_of_int (i + 1)))
+               ());
+        ]
+      in
+      let relayed = List.map (relay t out) bodies in
+      Alcotest.(check bool) "the grid takes several reads" true
+        (String.length (List.hd relayed) > 65536);
+      List.iter2
+        (fun body got ->
+          let direct = request port body in
+          let want =
+            String.sub direct 0 (String.length direct - 1) ^ {|,"shard":"s0"}|} ^ "\n"
+          in
+          Alcotest.(check string) "shard's answer plus its id" want got)
+        bodies relayed)
+
+(* A listener posing as a shard: each request line gets [reply line].
+   It counts the connections it accepted and those whose peer closed
+   them. *)
+let with_fake_shard reply f =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt sock Unix.SO_REUSEADDR true;
+  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen sock 8;
+  let port =
+    match Unix.getsockname sock with Unix.ADDR_INET (_, p) -> p | _ -> 0
+  in
+  let accepted = Atomic.make 0 and closed = Atomic.make 0 in
+  let stop = Atomic.make false and lock = Mutex.create () and conns = ref [] in
+  let serve fd =
+    let ic = Unix.in_channel_of_descr fd in
+    (try
+       while true do
+         let r = reply (input_line ic) in
+         Service.Wire.write_all fd (Bytes.of_string r) 0 (String.length r)
+       done
+     with End_of_file | Sys_error _ | Unix.Unix_error _ -> ());
+    Atomic.incr closed
+  in
+  let acceptor =
+    Thread.create
+      (fun () ->
+        while not (Atomic.get stop) do
+          match Unix.select [ sock ] [] [] 0.05 with
+          | [], _, _ -> ()
+          | _ ->
+            let fd, _ = Unix.accept sock in
+            Atomic.incr accepted;
+            Mutex.lock lock;
+            conns := (fd, Thread.create serve fd) :: !conns;
+            Mutex.unlock lock
+        done)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Thread.join acceptor;
+      List.iter
+        (fun (fd, th) ->
+          (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+          Thread.join th;
+          Service.Wire.close_quietly fd)
+        !conns;
+      Unix.close sock)
+    (fun () -> f port ~accepted ~closed)
+
+let await what cond =
+  let deadline = Unix.gettimeofday () +. 5. in
+  while (not (cond ())) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
+  done;
+  Alcotest.(check bool) what true (cond ())
+
+(* A shard reply that is not JSON is never relayed: the caller gets a
+   structured error, the connection is not kept, and the worker's
+   next reply is exact.  A reply followed by stray bytes is relayed,
+   and its connection closed after it. *)
+let test_relay_malformed_reply () =
+  let reply line =
+    let has word = count_substring line word > 0 in
+    if has "malformed" then {|{"v":1,"ok":true,"result":[1,|} ^ "\n"
+    else if has "trailing" then
+      {|{"v":1,"ok":true,"result":"trailing"}|} ^ "\n" ^ {|{"v":1,"ok":true}|}
+    else {|{"v":1,"ok":true,"result":"good"}|} ^ "\n"
+  in
+  with_fake_shard reply (fun port ~accepted ~closed ->
+      let t = one_shard_router ~retry:Client.no_retry port in
+      let out = Json.Buf.create 16 in
+      let body id source = Api.to_body ~trace_id:id (Api.lint_source source) in
+      let good id =
+        Printf.sprintf {|{"v":1,"ok":true,"result":"good","trace_id":"%s","shard":"s0"}|}
+          id
+        ^ "\n"
+      in
+      let bad = relay t out (body "t-bad" "malformed") in
+      Alcotest.(check bool) "not relayed" false
+        (count_substring bad {|"result":[1,|} > 0);
+      (match Api.parse_response (String.trim bad) with
+      | Ok r ->
+        Alcotest.(check bool) "an error" false r.Api.r_ok;
+        Alcotest.(check (option string)) "under the caller's id" (Some "t-bad")
+          r.Api.r_trace_id;
+        Alcotest.(check bool) "with a code" true (r.Api.r_error_code <> None)
+      | Error e -> Alcotest.failf "not a structured error: %s (%S)" e bad);
+      await "the connection is not kept" (fun () -> Atomic.get closed = 1);
+      Alcotest.(check string) "next reply exact" (good "t-1")
+        (relay t out (body "t-1" "fine"));
+      Alcotest.(check int) "a fresh connection" 2 (Atomic.get accepted);
+      Alcotest.(check string) "a reply with stray bytes after it"
+        ({|{"v":1,"ok":true,"result":"trailing","trace_id":"t-trail","shard":"s0"}|}
+        ^ "\n")
+        (relay t out (body "t-trail" "trailing"));
+      Alcotest.(check int) "on the kept connection" 2 (Atomic.get accepted);
+      await "that connection is closed" (fun () -> Atomic.get closed = 2);
+      Alcotest.(check string) "then exact again" (good "t-2")
+        (relay t out (body "t-2" "fine"));
+      Alcotest.(check int) "on a fresh connection" 3 (Atomic.get accepted))
+
 let suite =
   [
     ( "cluster.ring",
@@ -1003,5 +1191,11 @@ let suite =
           test_member_host_names;
         Alcotest.test_case "oversized stays at the router" `Quick
           test_e2e_oversized_stays_at_router;
+        Alcotest.test_case "relay allocates no reply-sized block" `Quick
+          test_relay_allocates_no_reply;
+        Alcotest.test_case "relay bytes exact across sizes" `Quick
+          test_relay_exact_across_sizes;
+        Alcotest.test_case "malformed shard replies never relayed" `Quick
+          test_relay_malformed_reply;
       ] );
   ]

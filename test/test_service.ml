@@ -665,8 +665,9 @@ let test_backoff_deterministic () =
 
 let test_parse_overloaded_response () =
   let body =
-    Service.Protocol.error_response ~retry_after_ms:75.
-      Service.Protocol.Overloaded "queue full"
+    Json.to_string
+      (Service.Protocol.error_envelope ~retry_after_ms:75.
+         Service.Protocol.Overloaded "queue full")
   in
   match Service.Service_api.parse_response body with
   | Error e -> Alcotest.failf "parse failed: %s" e
@@ -941,8 +942,9 @@ let test_lifecycle_internal_error () =
         Log.use_stderr ();
         Log.set_rate ~burst:50 ~per_s:10.)
       (fun () ->
-        Service.Dispatch.answer ~recorder ~span:"route" ~prefix:"rtr"
-          {|{"kind":"stats"}|} (fun _ _ -> failwith "boom"))
+        Service.Dispatch.unframed (fun out ->
+            Service.Dispatch.answer ~recorder ~span:"route" ~prefix:"rtr" out
+              {|{"kind":"stats"}|} (fun _ _ -> failwith "boom")))
   in
   Alcotest.(check string) "code" "internal" (error_code resp);
   let id =
@@ -1183,12 +1185,26 @@ let test_fingerprint_floats_match_printf () =
       if not (found 0) then Alcotest.failf "key %S lacks %S" key want)
     (float_edges @ random_floats ~seed:13 4_000 @ fast_range_floats ~seed:15 20_000)
 
+(* [s] as a buffer's content, with bytes past it that would close an
+   open container, end a string or extend a number: a scan that read
+   past the content would answer differently. *)
+let in_buf s =
+  let b = Json.Buf.create 16 in
+  Json.Buf.add_string b s;
+  Json.Buf.add_string b "0]}\"";
+  Json.Buf.truncate b (String.length s);
+  b
+
 let agree s =
   let parsed = Result.map ignore (Json.of_string s) in
+  let show = function Ok () -> "ok" | Error e -> e in
   if Json.check s <> parsed then
     Alcotest.failf "check and of_string disagree on %S: %s vs %s" s
-      (match Json.check s with Ok () -> "ok" | Error e -> e)
-      (match parsed with Ok () -> "ok" | Error e -> e)
+      (show (Json.check s)) (show parsed);
+  let scanned = Json.check_buf (in_buf s) in
+  if scanned <> parsed then
+    Alcotest.failf "check_buf and of_string disagree on %S: %s vs %s" s
+      (show scanned) (show parsed)
 
 (* Bytes that steer a flip into structure, escapes and numbers. *)
 let flip_bytes = "{}[],:\"\\ \n0123456789.eE+-tfnu\x00\x1f\xff"
@@ -1231,27 +1247,39 @@ let test_check_edge_texts () =
 (* The scanner allocates nothing per byte: a text with every token
    kind (nested containers, fractions, exponents, literals, plain
    strings) costs the same few minor words checked once or repeated a
-   hundred times. *)
+   hundred times, as a string or where it lies in a buffer. *)
 let test_check_allocates_nothing () =
   let unit_text =
     {|{"a":[1,-2.5,3e10,{"b":null,"c":[true,false]}],"d":"plain text","e":{"f":[[-0.125E-3,0]],"g":""}}|}
   in
-  let words k =
+  let words prepare k =
     let text = "[" ^ String.concat ", " (List.init k (fun _ -> unit_text)) ^ "]" in
+    let scan = prepare text in
     let before = Gc.minor_words () in
-    let result = Json.check text in
+    let result = scan () in
     let after = Gc.minor_words () in
     Alcotest.(check bool) "well formed" true (result = Ok ());
     after -. before
   in
-  let once = words 1 in
-  Alcotest.(check bool)
-    (Printf.sprintf "a few words (%.0f)" once)
-    true (once <= 16.);
   List.iter
-    (fun k ->
-      Alcotest.(check (float 0.)) (Printf.sprintf "%d copies" k) once (words k))
-    [ 10; 100 ]
+    (fun (name, prepare) ->
+      let once = words prepare 1 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: a few words (%.0f)" name once)
+        true (once <= 16.);
+      List.iter
+        (fun k ->
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "%s: %d copies" name k)
+            once (words prepare k))
+        [ 10; 100 ])
+    [
+      ("check", fun text () -> Json.check text);
+      ( "check_buf",
+        fun text ->
+          let b = in_buf text in
+          fun () -> Json.check_buf b );
+    ]
 
 let explore_body =
   {|{"kind":"explore","workload":"pedagogical","machine":"bgq","axes":[{"axis":"bw","values":[1,2,4,8]},{"axis":"freq","values":[0.8,1.2,1.6,2.0]}],"trace":{"id":"t-explore"}}|}
@@ -1270,15 +1298,20 @@ let test_check_real_replies () =
 
 let test_client_classify_body () =
   let module P = Service.Protocol in
+  let classify_body reply =
+    let out = Json.Buf.create 16 in
+    Json.Buf.add_string out reply;
+    Client.classify_body out
+  in
   let ok = P.ok_response ~trace_id:"t" (Json.Obj [ ("x", Json.Float 1.5) ]) in
   Alcotest.(check bool) "ok replies carry the prefix" true
     (String.starts_with ~prefix:P.ok_prefix ok);
-  (match Client.classify_body ok with
-  | Ok r -> Alcotest.(check string) "ok reply passed through" ok r
+  (match classify_body ok with
+  | Ok () -> ()
   | Error e -> Alcotest.failf "ok reply refused: %a" Client.pp_error e);
   List.iter
     (fun bad ->
-      match Client.classify_body bad with
+      match classify_body bad with
       | Error (Client.Protocol _) -> ()
       | Error e -> Alcotest.failf "%S: expected protocol, got %a" bad Client.pp_error e
       | Ok _ -> Alcotest.failf "malformed ok reply %S accepted" bad)
@@ -1288,15 +1321,18 @@ let test_client_classify_body () =
       P.ok_prefix ^ "}x";
       "not json";
     ];
-  let shed = P.error_response ~retry_after_ms:75. ~trace_id:"t" P.Overloaded "queue full" in
+  let shed =
+    Json.to_string
+      (P.error_envelope ~retry_after_ms:75. ~trace_id:"t" P.Overloaded "queue full")
+  in
   Alcotest.(check bool) "errors lack the prefix" false
     (String.starts_with ~prefix:P.ok_prefix shed);
-  (match Client.classify_body shed with
+  (match classify_body shed with
   | Error (Client.Overloaded { retry_after_ms = Some 75.; message = "queue full" }) -> ()
   | _ -> Alcotest.fail "overloaded envelope not surfaced with its hint");
-  let invalid = P.error_response P.Invalid_request "bad" in
+  let invalid = Json.to_string (P.error_envelope P.Invalid_request "bad") in
   Alcotest.(check bool) "other errors are replies" true
-    (Client.classify_body invalid = Ok invalid)
+    (classify_body invalid = Ok ())
 
 (* --- connections that carry many requests ---------------------------- *)
 
